@@ -27,9 +27,9 @@
 // and estimates match a run that never crashed. --stats_json dumps the
 // metrics registry (including the storage.* counters) on exit.
 //
-// --threads sets the server's shard-parallel worker count: each drained
-// batch goes through CollectionServer::IngestBatch (parallel decode, serial
-// frame-order commit, parallel shard accumulation), and estimation fans out
+// --threads sets the server's parallel worker count: each drained batch
+// goes through CollectionServer::IngestBatch (parallel decode, then a serial
+// frame-order commit that adds accepted reports), and estimation fans out
 // over the same workers. Accepted/rejected counts and estimates are
 // identical for every thread count.
 
@@ -154,8 +154,8 @@ int main(int argc, char** argv) {
   TransportClient transport(&channel, &clock, RetryPolicy{}, /*seed=*/98);
 
   // Drained deliveries go to the server in batches: IngestBatch decodes and
-  // validates frames in parallel, commits accept/reject decisions serially
-  // in arrival order, then accumulates accepted reports on worker shards.
+  // validates frames in parallel, then commits accept/reject decisions and
+  // adds accepted reports serially in arrival order.
   const auto ingest_batch = [&server](
                                 const std::vector<FaultyChannel::Delivery>&
                                     batch) {

@@ -1,6 +1,5 @@
 #include "engine/protocol.h"
 
-#include <algorithm>
 #include <chrono>
 #include <sstream>
 
@@ -326,6 +325,7 @@ Result<CollectionServer> CollectionServer::CreateDurable(
   // restored from the header (the quarantined frames themselves were
   // compacted away, but their counts survive).
   if (snapshot.loaded) {
+    server.users_.reserve(snapshot.data.entries.size());
     for (const SnapshotEntry& entry : snapshot.data.entries) {
       auto report = LdpReport::Deserialize(entry.payload);
       if (!report.ok()) {
@@ -460,8 +460,8 @@ Status CollectionServer::IngestBatch(std::span<const ReportFrame> frames) {
   // Phase B — serial commit, in frame order: exactly the fate sequence the
   // one-at-a-time Ingest loop produces (corrupt before duplicate before
   // rejected), including dedup against earlier frames of this same batch.
-  std::vector<uint64_t> accepted;
-  accepted.reserve(n);
+  // Accepted reports go straight into the live mechanism in ApplyFrame's
+  // order, so the report sequence is the serial one for any thread count.
   for (uint64_t i = 0; i < n; ++i) {
     if (fate[i] == kCorrupt) {
       ++stats_.corrupt;
@@ -473,7 +473,8 @@ Status CollectionServer::IngestBatch(std::span<const ReportFrame> frames) {
       IngestMetrics().duplicate->Add(1);
       continue;
     }
-    if (fate[i] == kMisfit) {
+    if (fate[i] == kMisfit ||
+        !mechanism_->AddReport(reports[i], frames[i].user).ok()) {
       ++stats_.rejected;
       IngestMetrics().rejected->Add(1);
       continue;
@@ -487,41 +488,6 @@ Status CollectionServer::IngestBatch(std::span<const ReportFrame> frames) {
       store_->RetainAccepted(frames[i].user,
                              frames[i].bytes.substr(kReportFrameHeaderBytes));
     }
-    accepted.push_back(i);
-  }
-  if (accepted.empty()) {
-    MaybeSnapshot();
-    return Status::OK();
-  }
-
-  // Phase C — parallel shard ingestion: workers add contiguous ranges of the
-  // accepted reports into private shard mechanisms; merging the shards in
-  // worker order reproduces the exact frame-order report sequence.
-  const uint64_t m = accepted.size();
-  const uint64_t num_workers = std::max<uint64_t>(
-      1, std::min<uint64_t>(exec_->num_threads(), m));
-  std::vector<std::unique_ptr<Mechanism>> shards(num_workers);
-  for (auto& shard : shards) {
-    LDP_ASSIGN_OR_RETURN(shard, mechanism_->NewShard());
-  }
-  std::vector<Status> worker_status(num_workers, Status::OK());
-  exec_->ParallelFor(num_workers, [&](uint64_t w) {
-    const uint64_t begin = w * m / num_workers;
-    const uint64_t end = (w + 1) * m / num_workers;
-    for (uint64_t j = begin; j < end; ++j) {
-      const uint64_t i = accepted[j];
-      const Status status = shards[w]->AddReport(reports[i], frames[i].user);
-      if (!status.ok()) {
-        // Cannot happen for a report that passed ValidateReport; surface it
-        // as an internal pipeline failure rather than dropping it silently.
-        worker_status[w] = status;
-        return;
-      }
-    }
-  });
-  for (const Status& status : worker_status) LDP_RETURN_NOT_OK(status);
-  for (auto& shard : shards) {
-    LDP_RETURN_NOT_OK(mechanism_->Merge(std::move(*shard)));
   }
   MaybeSnapshot();
   return Status::OK();

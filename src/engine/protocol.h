@@ -139,8 +139,8 @@ struct IngestStats {
 /// *accepted* reports, so dropout shrinks the cohort instead of biasing it.
 class CollectionServer {
  public:
-  /// `num_threads` sizes the server's shard-parallel execution context
-  /// (IngestBatch staging and estimation fan-out); <= 0 means one worker per
+  /// `num_threads` sizes the server's parallel execution context
+  /// (IngestBatch decode and estimation fan-out); <= 0 means one worker per
   /// hardware thread. Results are bit-identical for every value.
   static Result<CollectionServer> Create(const CollectionSpec& spec,
                                          int num_threads = 1);
@@ -173,17 +173,17 @@ class CollectionServer {
     uint64_t user = 0;
   };
 
-  /// Ingests a batch of frames with the staged shard-parallel pipeline:
+  /// Ingests a batch of frames in two stages:
   /// (A) unframe + deserialize + structural validation, in parallel;
   /// (B) per-frame fate decisions (corrupt / duplicate / rejected /
-  ///     accepted) serially in frame order — the exact semantics of calling
-  ///     Ingest on each frame in order, including intra-batch dedup;
-  /// (C) accepted reports ingested into per-worker shard mechanisms over
-  ///     contiguous ranges, merged back in worker order.
+  ///     accepted) serially in frame order, each accepted report added to
+  ///     the mechanism as its fate is decided — the exact semantics of
+  ///     calling Ingest on each frame in order, including intra-batch dedup.
   /// Afterwards the server state (stats, dedup set, accumulated reports) is
   /// bitwise what the serial Ingest loop would have produced, for any thread
   /// count. Per-frame failures are recorded in ingest_stats(), not returned;
-  /// the Status is non-OK only for internal pipeline failures.
+  /// the Status is non-OK only when a durable server cannot log the batch,
+  /// in which case no frame of it was applied.
   Status IngestBatch(std::span<const ReportFrame> frames);
 
   uint64_t num_reports() const { return mechanism_->num_reports(); }

@@ -2,10 +2,13 @@
 // the engine's estimates are bit-identical for every num_threads (encoding
 // uses per-chunk RNG substreams, shards merge in order, and estimation
 // reduces in fixed chunk order), and CollectionServer::IngestBatch is
-// equivalent to a serial Ingest loop — same stats, same estimates — even
-// with corrupt, duplicate, and misfit frames in the batch.
+// equivalent to a serial Ingest loop — same stats, same dedup set, same
+// estimates bit for bit — even with corrupt, duplicate, and misfit frames in
+// the batch and batches landing on a server that already holds reports.
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -152,6 +155,9 @@ Wire MakeWire() {
       plan.push_back({wire.storage.size() - 1, 2 * n + u});
     }
   }
+  // Late retry echoes of early frames: duplicates of users accepted many
+  // batches earlier.
+  for (const size_t k : {0, 5, 999}) plan.push_back(plan[k]);
   wire.frames.reserve(plan.size());
   for (const auto& [index, user] : plan) {
     wire.frames.push_back(CollectionServer::ReportFrame{wire.storage[index], user});
@@ -159,34 +165,68 @@ Wire MakeWire() {
   return wire;
 }
 
-void ExpectSameOutcome(const CollectionServer& a, const CollectionServer& b) {
+bool SameBits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+void ExpectSameOutcome(const CollectionServer& a, const CollectionServer& b,
+                       const Wire& wire) {
   EXPECT_EQ(a.ingest_stats().accepted, b.ingest_stats().accepted);
   EXPECT_EQ(a.ingest_stats().duplicate, b.ingest_stats().duplicate);
   EXPECT_EQ(a.ingest_stats().corrupt, b.ingest_stats().corrupt);
   EXPECT_EQ(a.ingest_stats().rejected, b.ingest_stats().rejected);
   EXPECT_EQ(a.num_reports(), b.num_reports());
-  const WeightVector w = WeightVector::Ones(3 * 2000);
-  const std::vector<Interval> ranges = {{10, 40}, {2, 2}};
-  EXPECT_EQ(a.EstimateBox(ranges, w).ValueOrDie(),
-            b.EstimateBox(ranges, w).ValueOrDie());
+  for (const CollectionServer::ReportFrame& f : wire.frames) {
+    EXPECT_EQ(a.has_report(f.user), b.has_report(f.user)) << "user " << f.user;
+  }
+  // Per-user weights, so a report credited to the wrong user shows too.
+  std::vector<double> weights(3 * 2000);
+  for (size_t u = 0; u < weights.size(); ++u) weights[u] = 1.0 + u % 7;
+  const WeightVector w(std::move(weights));
+  const std::vector<std::vector<Interval>> boxes = {{{10, 40}, {2, 2}},
+                                                     {{0, 53}, {0, 5}},
+                                                     {{0, 0}, {1, 4}},
+                                                     {{27, 53}, {5, 5}}};
+  for (size_t i = 0; i < boxes.size(); ++i) {
+    const double x = a.EstimateBox(boxes[i], w).ValueOrDie();
+    const double y = b.EstimateBox(boxes[i], w).ValueOrDie();
+    EXPECT_TRUE(SameBits(x, y)) << "box " << i << ": " << x << " vs " << y;
+  }
 }
 
 TEST(IngestBatchTest, MatchesSerialIngestWithFaultyFrames) {
   const Wire wire = MakeWire();
+  const std::span<const CollectionServer::ReportFrame> frames(wire.frames);
 
   CollectionServer serial = CollectionServer::Create(wire.spec).ValueOrDie();
-  for (const CollectionServer::ReportFrame& f : wire.frames) {
+  for (const CollectionServer::ReportFrame& f : frames) {
     (void)serial.Ingest(f.bytes, f.user);  // faulty frames return an error
   }
   EXPECT_GT(serial.ingest_stats().duplicate, 0u);
   EXPECT_GT(serial.ingest_stats().corrupt, 0u);
   EXPECT_GT(serial.ingest_stats().rejected, 0u);
 
-  for (const int threads : {1, 4}) {
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
     CollectionServer batched =
         CollectionServer::Create(wire.spec, threads).ValueOrDie();
-    ASSERT_TRUE(batched.IngestBatch(wire.frames).ok());
-    ExpectSameOutcome(batched, serial);
+    ASSERT_TRUE(batched.IngestBatch(frames).ok());
+    ExpectSameOutcome(batched, serial, wire);
+
+    // A server that already holds reports, then the rest of the wire in
+    // consecutive 1024-frame batches.
+    CollectionServer streamed =
+        CollectionServer::Create(wire.spec, threads).ValueOrDie();
+    constexpr size_t kHeld = 300;
+    for (const CollectionServer::ReportFrame& f : frames.first(kHeld)) {
+      (void)streamed.Ingest(f.bytes, f.user);
+    }
+    ASSERT_GT(streamed.num_reports(), 0u);
+    for (size_t begin = kHeld; begin < frames.size(); begin += 1024) {
+      const size_t count = std::min<size_t>(1024, frames.size() - begin);
+      ASSERT_TRUE(streamed.IngestBatch(frames.subspan(begin, count)).ok());
+    }
+    ExpectSameOutcome(streamed, serial, wire);
   }
 }
 
@@ -200,7 +240,7 @@ TEST(IngestBatchTest, SplitBatchesMatchOneBatch) {
   const std::span<const CollectionServer::ReportFrame> frames(wire.frames);
   ASSERT_TRUE(split.IngestBatch(frames.subspan(0, cut)).ok());
   ASSERT_TRUE(split.IngestBatch(frames.subspan(cut)).ok());
-  ExpectSameOutcome(split, one);
+  ExpectSameOutcome(split, one, wire);
 }
 
 TEST(IngestBatchTest, EmptyBatchIsANoOp) {
