@@ -39,11 +39,6 @@ bool& ExplainFirstQuery() {
   return enabled;
 }
 
-bool& FeedbackEngines() {
-  static bool enabled = false;
-  return enabled;
-}
-
 bool WriteStatsJson(const std::string& path) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
@@ -107,15 +102,12 @@ bool ParseBenchConfig(int argc, char** argv, const std::string& name,
   p->AddBool("cache", &config->cache,
              "enable the cross-query node-estimate cache");
   p->AddBool("full", &config->full, "use the paper-scale parameters");
-  p->AddBool("feedback", &config->feedback,
-             "record per-plan actuals and rank mechanisms by measured work");
   p->AddBool("explain", &config->explain,
              "dump each engine's plan for the first workload query");
   p->AddString("simd", &config->simd,
                "frequency-oracle kernel level: auto|scalar|avx2|neon");
   if (!p->Parse(argc, argv)) return false;
   ExplainFirstQuery() = config->explain;
-  FeedbackEngines() = config->feedback;
   const auto simd_level = SimdLevelFromString(config->simd);
   if (!simd_level.ok()) {
     std::fprintf(stderr, "%s (expected auto|scalar|avx2|neon)\n",
@@ -162,7 +154,6 @@ std::vector<std::unique_ptr<AnalyticsEngine>> BuildEngines(
     options.seed = seed;
     options.num_threads = num_threads;
     options.enable_estimate_cache = enable_estimate_cache;
-    options.enable_feedback = FeedbackEngines();
     auto engine = AnalyticsEngine::Create(table, options);
     if (engine.ok()) {
       engines.push_back(std::move(engine).value());

@@ -36,12 +36,6 @@ struct BenchConfig {
   /// uncached estimation cost.
   bool cache = true;
   bool full = false;
-  /// Measured-cost feedback planning (EngineOptions::enable_feedback):
-  /// engines record per-plan actuals into their PlanStatsStore and the
-  /// planner may rank mechanism candidates by measured work once warmed.
-  /// Off by default, matching the engine (a feedback override may change
-  /// which mechanism answers a query).
-  bool feedback = false;
   /// Dump the physical plan (EXPLAIN text) of the first workload query per
   /// engine to stderr before evaluation — a quick look at the strategy and
   /// predicted cost a bench is about to measure.
@@ -104,10 +98,6 @@ QueryProfile& WorkloadProfile();
 /// Process-wide --explain switch (set by ParseBenchConfig): when true,
 /// EvalRow dumps each engine's plan for the first workload query to stderr.
 bool& ExplainFirstQuery();
-
-/// Process-wide --feedback switch (set by ParseBenchConfig): when true,
-/// BuildEngines creates engines with measured-cost feedback planning on.
-bool& FeedbackEngines();
 
 /// Writes `{"metrics": <GlobalMetrics snapshot>, "query_profile": ...}` to
 /// `path`. Called automatically at exit when --stats_json is set; exposed

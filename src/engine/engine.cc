@@ -31,10 +31,6 @@ uint64_t ConfigFingerprint(std::span<const MechanismKind> kinds,
      << "|pool=" << params.hash_pool_size
      << "|hint=" << params.population_hint
      << "|consistency=" << (options.planner_consistency ? 1 : 0)
-     << "|feedback=" << (options.enable_feedback ? 1 : 0)
-     << "|fbk=" << (options.enable_feedback
-                        ? std::max(options.feedback_min_observations, 1)
-                        : 0)
      << "|simd=" << SimdLevelName(ActiveSimdLevel());
   return Checksum64(os.str());
 }
@@ -88,15 +84,11 @@ Result<std::unique_ptr<AnalyticsEngine>> AnalyticsEngine::Create(
   }
   PlannerOptions planner_options;
   planner_options.enable_consistency = options.planner_consistency;
-  planner_options.enable_feedback = options.enable_feedback;
   engine->planner_ = std::make_unique<Planner>(table.schema(), kinds,
                                                options.params,
                                                planner_options);
   if (options.enable_feedback) {
-    engine->plan_stats_ = std::make_unique<PlanStatsStore>(
-        std::max<size_t>(options.feedback_store_entries, 1), /*alpha=*/0.25,
-        static_cast<uint64_t>(std::max(options.feedback_min_observations, 1)));
-    engine->planner_->set_stats_store(engine->plan_stats_.get());
+    engine->plan_stats_ = std::make_unique<PlanStatsStore>();
   }
   engine->config_fingerprint_ = ConfigFingerprint(kinds, options);
   if (options.enable_plan_cache && options.plan_cache_entries > 0) {
@@ -198,7 +190,7 @@ Result<double> AnalyticsEngine::ExecuteRecorded(
     }
     return executor_->Run(*plan, profile);
   }
-  // Feedback on: run against a local profile so the observation carries THIS
+  // Recording on: run against a local profile so the observation carries THIS
   // execution's actuals, then merge into the caller's profile — its totals
   // match the unrecorded path exactly.
   QueryProfile local;
@@ -278,7 +270,7 @@ Status AnalyticsEngine::ExecuteBatch(std::span<const Query> queries,
     }
     return executor_->RunBatch(plans, out, profile);
   }
-  // Feedback on: the executor measures one observation per plan (dedup-aware
+  // Recording on: the executor measures one observation per plan (dedup-aware
   // — a shared estimate is charged to the plan that computed it), recorded
   // after the whole batch succeeds.
   QueryProfile local;
@@ -304,7 +296,9 @@ Status AnalyticsEngine::ExecuteBatch(std::span<const Query> queries,
 
 Result<std::shared_ptr<const PhysicalPlan>> AnalyticsEngine::PlanFor(
     const Query& query) const {
-  return GetPlan(query, nullptr);
+  LDP_ASSIGN_OR_RETURN(auto plan, GetPlan(query, nullptr));
+  if (plan_stats_ == nullptr) return plan;
+  return std::make_shared<const PhysicalPlan>(WithLiveFeedback(*plan));
 }
 
 PhysicalPlan AnalyticsEngine::WithLiveFeedback(
@@ -312,8 +306,6 @@ PhysicalPlan AnalyticsEngine::WithLiveFeedback(
   PhysicalPlan live = plan;
   if (const auto stats = plan_stats_->Lookup(plan.fingerprint)) {
     live.feedback.observations = stats->observations;
-    live.feedback.warmed =
-        stats->observations >= plan_stats_->min_observations();
     live.feedback.wall_nanos = stats->ewma_wall_nanos;
     live.feedback.estimate_calls = stats->ewma_estimate_calls;
     live.feedback.nodes = stats->ewma_nodes;
@@ -323,11 +315,7 @@ PhysicalPlan AnalyticsEngine::WithLiveFeedback(
 
 Result<std::string> AnalyticsEngine::Explain(const Query& query) const {
   LDP_ASSIGN_OR_RETURN(const auto plan, GetPlan(query, nullptr));
-  if (plan_stats_ != nullptr) {
-    // Refresh predicted-vs-actual from the live store: the cached plan's
-    // own feedback snapshot predates any execution since it was planned.
-    return WithLiveFeedback(*plan).ToText(schema());
-  }
+  if (plan_stats_ != nullptr) return WithLiveFeedback(*plan).ToText(schema());
   return plan->ToText(schema());
 }
 

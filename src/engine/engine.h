@@ -64,19 +64,12 @@ struct EngineOptions {
   /// tree) for qualifying deployments — see PlannerOptions. Changes answers
   /// (that is its point), hence off by default.
   bool planner_consistency = false;
-  /// Measured-cost feedback planning (see PlanStatsStore and
-  /// PlannerOptions::enable_feedback): every Execute/ExecuteBatch records
-  /// the executed plan's actuals, and once every candidate mechanism has
-  /// >= feedback_min_observations observations for a query, measured work
-  /// replaces the analytic proxy in mechanism scoring. Only which mechanism
-  /// wins may change — any chosen plan's estimate stays bit-identical across
-  /// threads/caches/SIMD — but since the winner MAY differ from the analytic
-  /// choice, this defaults off for golden-test stability.
+  /// Plan actuals recording (see PlanStatsStore): every Execute/ExecuteBatch
+  /// records the executed plan's measured actuals, and EXPLAIN/PlanFor
+  /// render them as a predicted-vs-actual block. Record-only — planning
+  /// never reads the store, so plans and answers are identical with it on
+  /// or off. Off by default: recording profiles every execution.
   bool enable_feedback = false;
-  /// Observations a plan fingerprint needs before feedback trusts it.
-  int feedback_min_observations = 3;
-  /// Entry budget for the plan stats store (per-fingerprint EWMA records).
-  size_t feedback_store_entries = 1024;
   /// Instruction-set level for the frequency-oracle estimate kernels
   /// (src/fo/simd/). kAuto picks the best supported level at Create();
   /// forcing a level the host does not support is LDP_CHECK-fatal. Purely a
@@ -166,7 +159,8 @@ class AnalyticsEngine {
   /// Explain for a SQL string; accepts both "SELECT ..." and
   /// "EXPLAIN SELECT ...".
   Result<std::string> ExplainSql(std::string_view sql) const;
-  /// The plan itself, for programmatic consumers (ToJson, tests).
+  /// The plan itself, for programmatic consumers (ToJson, tests). Carries
+  /// the live recorded actuals when recording is on, like Explain.
   Result<std::shared_ptr<const PhysicalPlan>> PlanFor(
       const Query& query) const;
 
@@ -180,9 +174,9 @@ class AnalyticsEngine {
   const Schema& schema() const { return table_.schema(); }
   /// The plan cache, or null when disabled.
   PlanCache* plan_cache() const { return plan_cache_.get(); }
-  /// The measured-cost plan stats store, or null unless
-  /// EngineOptions::enable_feedback is set. Exposed for tests and the replay
-  /// harness (ComparePlanStats over two engines' stores).
+  /// The plan actuals store, or null unless EngineOptions::enable_feedback
+  /// is set. Exposed for tests and the replay harness (ComparePlanStats over
+  /// two engines' stores).
   PlanStatsStore* plan_stats() const { return plan_stats_.get(); }
   /// Fingerprint of the planner-visible configuration (registered mechanism
   /// set, mechanism params, consistency flag). Stamped into every plan and
@@ -206,15 +200,15 @@ class AnalyticsEngine {
 
   /// Shared Execute body: resolves the plan (when `query` is non-null; a
   /// pre-resolved `plan` otherwise), runs it under a profiled scope, and —
-  /// when feedback is on — records the measured PlanObservation into
+  /// when recording is on — records the measured PlanObservation into
   /// plan_stats_.
   Result<double> ExecuteRecorded(const Query* query,
                                  std::shared_ptr<const PhysicalPlan> plan,
                                  QueryProfile* profile) const;
 
-  /// Copies `plan` with its feedback block refreshed from the live stats
-  /// store — EXPLAIN stays current even when the plan cache serves a plan
-  /// whose snapshot predates recent executions.
+  /// Copies `plan` with its feedback block filled from the live stats
+  /// store — the one place the block is filled, so Explain and PlanFor show
+  /// every execution recorded so far, cached plan or not.
   PhysicalPlan WithLiveFeedback(const PhysicalPlan& plan) const;
 
   const Table& table_;

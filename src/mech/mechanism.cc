@@ -118,7 +118,9 @@ Result<LdpReport> LdpReport::Deserialize(std::string_view bytes) {
   if (!GetU32(&bytes, &count)) {
     return Status::ParseError("truncated LDP report header");
   }
-  if (count > (1u << 24)) {
+  // Every entry encodes at least 16 bytes (four u32 fields), so a count the
+  // remaining payload cannot hold is rejected before it sizes an allocation.
+  if (count > (1u << 24) || count > bytes.size() / 16) {
     return Status::ParseError("implausible LDP report entry count");
   }
   report.entries.reserve(count);

@@ -60,8 +60,8 @@ class MultiMechanism : public Mechanism {
 
   /// Variance bound through a specific registered mechanism: k^2 x the
   /// sub's cohort bound. The per-plan companion of EstimateBoxWith, so a
-  /// confidence bound describes the mechanism the plan actually executed
-  /// (which feedback planning may have picked against the cost model).
+  /// confidence bound describes the mechanism the plan actually executed,
+  /// whichever sub VarianceBound's own shape-based selection would pick.
   Result<double> VarianceBoundWith(MechanismKind kind,
                                    std::span<const Interval> ranges,
                                    const WeightVector& weights) const;

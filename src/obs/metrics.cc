@@ -201,8 +201,6 @@ MetricsRegistry& GlobalMetrics() {
              "plan.mechanism_choices.QuadTree", "plan.mechanism_choices.Haar",
              "plan.mechanism_choices.HDG", "plan.mechanism_choices.CALM",
              "plan.feedback_records", "plan.feedback_evictions",
-             "plan.feedback_lookups", "plan.feedback_hits",
-             "plan.feedback_overrides",
              "storage.wal_appends",
              "storage.wal_bytes", "storage.fsyncs", "storage.wal_torn_tails",
              "storage.wal_corrupt_drops", "storage.wal_segments_deleted",

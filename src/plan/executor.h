@@ -98,8 +98,9 @@ class PlanExecutor {
 /// the cache's probe count (hits + misses — every per-node estimate routes
 /// through the cache, on the composite's sub-caches too); with it off, the
 /// `estimate.nodes` kernel counter. Both equal total nodes touched, so the
-/// measure is invariant to the cache configuration — which is what lets
-/// feedback planning consume it without breaking cross-config determinism.
+/// measure is invariant to the cache configuration — which keeps the
+/// recorded actuals (EXPLAIN, plan-regression replay) comparable across
+/// deployments with different cache settings.
 /// Caveats (best-effort, like QueryProfile's work counters): the kernel
 /// counter is zero while metrics are disabled, and MG boxes over 2^16 cells
 /// bypass the cache.

@@ -121,13 +121,13 @@ std::string PhysicalPlan::ToText(const Schema& schema) const {
     }
     os << "\n";
   }
-  if (feedback.warmed) {
-    // Predicted-vs-actual from the plan stats store. Rendered only after the
-    // K-observation warmup, and never part of the fingerprint (computed with
-    // this block default-empty), so observation can't change plan identity.
+  if (feedback.observations > 0) {
+    // Predicted-vs-actual from the plan stats store. Rendered once the plan
+    // has a recorded execution, and never part of the fingerprint (computed
+    // with this block default-empty), so observation can't change plan
+    // identity.
     os << "feedback:\n";
     os << "  observations: " << feedback.observations << "\n";
-    os << "  overrode: " << (feedback.overrode ? 1 : 0) << "\n";
     os << "  estimate_calls: predicted=" << PredictedEstimateCalls(*this)
        << " actual~" << FormatDouble(feedback.estimate_calls) << "\n";
     os << "  node_estimates: predicted=" << predicted_node_estimates
@@ -177,9 +177,8 @@ std::string PhysicalPlan::ToJson(const Schema& schema) const {
     }
     os << "]";
   }
-  if (feedback.warmed) {
+  if (feedback.observations > 0) {
     os << ",\"feedback\":{\"observations\":" << feedback.observations
-       << ",\"overrode\":" << (feedback.overrode ? "true" : "false")
        << ",\"predicted_estimate_calls\":" << PredictedEstimateCalls(*this)
        << ",\"actual_estimate_calls\":" << FormatDouble(feedback.estimate_calls)
        << ",\"predicted_node_estimates\":" << predicted_node_estimates

@@ -79,21 +79,16 @@ struct PlanOp {
   std::string weight_key;
 };
 
-/// Measured-cost feedback riding along with a plan (PlanStatsStore entries
-/// for this plan's fingerprint at planning/explain time). Display data only:
-/// feedback may change which mechanism a multi-mechanism planner picks, never
-/// how a picked plan computes its estimate. Excluded from the plan
-/// fingerprint — the planner fingerprints the plan with this block
-/// default-empty and fills it afterwards, so observing a plan never changes
-/// its identity.
+/// Recorded actuals riding along with a plan (the PlanStatsStore entry for
+/// this plan's fingerprint at EXPLAIN time). Display data only: nothing in
+/// planning or execution reads it. Excluded from the plan fingerprint — the
+/// planner fingerprints the plan with this block default-empty and the
+/// engine overlays it afterwards, so observing a plan never changes its
+/// identity.
 struct PlanFeedback {
-  /// Recorded executions of this fingerprint.
+  /// Recorded executions of this fingerprint; EXPLAIN renders the
+  /// predicted-vs-actual block once this is > 0.
   uint64_t observations = 0;
-  /// True once observations >= the store's warmup K; EXPLAIN renders the
-  /// predicted-vs-actual block only then.
-  bool warmed = false;
-  /// True when measured cost overrode the analytic mechanism choice.
-  bool overrode = false;
   /// EWMA actuals (see PlanStatsStore). wall_nanos is nondeterministic
   /// timing data; estimate_calls/nodes are deterministic work measures.
   double wall_nanos = 0.0;
@@ -138,9 +133,9 @@ struct PhysicalPlan {
   /// candidate-registration order. Empty for single-mechanism planners (the
   /// choice is forced), so single-mechanism EXPLAIN output is unchanged.
   std::vector<MechanismScore> candidates;
-  /// Measured-cost actuals for this fingerprint, when feedback planning is
-  /// enabled and the stats store has seen it. Default-empty (not rendered,
-  /// not fingerprinted) otherwise.
+  /// Recorded actuals for this fingerprint, when the engine records them
+  /// (EngineOptions::enable_feedback) and has executed this plan.
+  /// Default-empty (not rendered, not fingerprinted) otherwise.
   PlanFeedback feedback;
   std::vector<PlanOp> ops;
 

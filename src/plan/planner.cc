@@ -8,23 +8,6 @@
 
 namespace ldp {
 
-namespace {
-
-Counter* FeedbackLookups() {
-  static Counter* c = GlobalMetrics().counter("plan.feedback_lookups");
-  return c;
-}
-Counter* FeedbackHits() {
-  static Counter* c = GlobalMetrics().counter("plan.feedback_hits");
-  return c;
-}
-Counter* FeedbackOverrides() {
-  static Counter* c = GlobalMetrics().counter("plan.feedback_overrides");
-  return c;
-}
-
-}  // namespace
-
 Planner::Planner(Schema schema, MechanismKind mechanism,
                  const MechanismParams& params, const PlannerOptions& options)
     : Planner(std::move(schema), std::vector<MechanismKind>{mechanism}, params,
@@ -139,50 +122,9 @@ Result<PhysicalPlan> Planner::Plan(LogicalPlan logical,
   // the per-mechanism cost model scores them all against this query's shape
   // and the plan records both the winner and the rejected scores. ---
   MechanismKind chosen = mechanism_;
-  bool feedback_overrode = false;
-  const uint64_t query_hash = Checksum64(logical.cache_key);
   if (candidates_.size() > 1) {
     plan.candidates = ScoreMechanisms(schema_, params_, profile, candidates_);
     chosen = ChooseMechanism(plan.candidates);
-    // --- Measured-cost feedback: once EVERY feasible candidate has warmed
-    // in the stats store for this query, rank by EWMA nodes touched — a
-    // deterministic work measure (invariant to threads/caches/SIMD), so the
-    // choice itself stays reproducible across configurations. Partial
-    // warmup keeps the analytic choice: comparing a measured candidate
-    // against an analytic proxy would bias toward whichever was tried
-    // first. ---
-    if (options_.enable_feedback && stats_ != nullptr) {
-      FeedbackLookups()->Increment();
-      bool all_warmed = true;
-      double best_cost = 0.0;
-      MechanismKind best = chosen;
-      bool have_best = false;
-      for (const MechanismScore& score : plan.candidates) {
-        if (!score.feasible) continue;
-        const auto stats = stats_->LookupByQuery(query_hash, score.kind);
-        if (!stats.has_value() ||
-            stats->observations < stats_->min_observations()) {
-          all_warmed = false;
-          break;
-        }
-        const double cost = stats->ewma_nodes;
-        // Ties go to the analytic winner, then candidate order.
-        if (!have_best || cost < best_cost ||
-            (cost == best_cost && score.kind == chosen)) {
-          have_best = true;
-          best_cost = cost;
-          best = score.kind;
-        }
-      }
-      if (all_warmed && have_best) {
-        FeedbackHits()->Increment();
-        if (best != chosen) {
-          feedback_overrode = true;
-          FeedbackOverrides()->Increment();
-          chosen = best;
-        }
-      }
-    }
     plan.mechanism = chosen;
   }
 
@@ -286,20 +228,6 @@ Result<PhysicalPlan> Planner::Plan(LogicalPlan logical,
   plan.fingerprint = 0;
   plan.fingerprint = Checksum64(plan.ToText(schema_));
   plan.epoch = epoch;
-  // Feedback actuals are filled AFTER fingerprinting (the block is
-  // default-empty in the canonical text above), so two structurally
-  // identical plans match whether or not either has been observed.
-  if (options_.enable_feedback && stats_ != nullptr) {
-    if (const auto stats = stats_->Lookup(plan.fingerprint)) {
-      plan.feedback.observations = stats->observations;
-      plan.feedback.warmed =
-          stats->observations >= stats_->min_observations();
-      plan.feedback.wall_nanos = stats->ewma_wall_nanos;
-      plan.feedback.estimate_calls = stats->ewma_estimate_calls;
-      plan.feedback.nodes = stats->ewma_nodes;
-    }
-    plan.feedback.overrode = feedback_overrode;
-  }
   return plan;
 }
 

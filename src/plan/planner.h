@@ -6,7 +6,6 @@
 
 #include "hierarchy/dim_hierarchy.h"
 #include "plan/physical.h"
-#include "plan/stats_store.h"
 
 namespace ldp {
 
@@ -16,14 +15,6 @@ struct PlannerOptions {
   /// ordinal dimension. OFF by default — consistency changes answers, and
   /// the default plans must stay bit-identical to the pre-planner engine.
   bool enable_consistency = false;
-  /// Feedback-driven mechanism choice: once every feasible candidate has
-  /// warmed in the attached PlanStatsStore (>= its min_observations for this
-  /// query), measured work (EWMA nodes touched — deterministic across
-  /// threads, caches, and SIMD levels) replaces the analytic variance proxy
-  /// in candidate ranking. Affects only WHICH mechanism wins on
-  /// multi-mechanism engines; a chosen plan's estimate bits never change.
-  /// OFF by default for golden-test stability.
-  bool enable_feedback = false;
 };
 
 /// Lowers logical plans to physical plans for one deployment
@@ -69,12 +60,6 @@ class Planner {
   const PlannerOptions& options() const { return options_; }
   const std::vector<MechanismKind>& candidates() const { return candidates_; }
 
-  /// Attaches the measured-cost store feedback planning reads (no ownership;
-  /// must outlive the planner). Null detaches. Only consulted when
-  /// PlannerOptions::enable_feedback is set.
-  void set_stats_store(const PlanStatsStore* stats) { stats_ = stats; }
-  const PlanStatsStore* stats_store() const { return stats_; }
-
  private:
   uint64_t PredictTermNodesFor(MechanismKind mechanism,
                                const LogicalTerm& term) const;
@@ -87,8 +72,6 @@ class Planner {
   std::vector<MechanismKind> candidates_;
   MechanismParams params_;
   PlannerOptions options_;
-  /// Measured-cost feedback source; null when feedback is off. Not owned.
-  const PlanStatsStore* stats_ = nullptr;
   /// Per sensitive dimension, in Schema::sensitive_dims() order.
   std::vector<std::unique_ptr<DimHierarchy>> hierarchies_;
 };

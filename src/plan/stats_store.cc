@@ -4,34 +4,27 @@
 #include <cstdio>
 #include <sstream>
 
-#include "common/hash.h"
-
 namespace ldp {
+
+namespace {
+
+/// EWMA weight of the newest observation.
+constexpr double kAlpha = 0.25;
+
+}  // namespace
 
 PlanIdentity PlanIdentityOf(const PhysicalPlan& plan) {
   PlanIdentity id;
   id.fingerprint = plan.fingerprint;
-  id.query_hash = Checksum64(plan.logical.cache_key);
   id.mechanism = plan.mechanism;
   id.strategy = plan.strategy;
   return id;
 }
 
-PlanStatsStore::PlanStatsStore(size_t max_entries, double alpha,
-                               uint64_t min_observations)
+PlanStatsStore::PlanStatsStore(size_t max_entries)
     : max_entries_(std::max<size_t>(max_entries, 1)),
-      alpha_(std::clamp(alpha, 0.0, 1.0)),
-      min_observations_(std::max<uint64_t>(min_observations, 1)),
       m_records_(GlobalMetrics().counter("plan.feedback_records")),
       m_evictions_(GlobalMetrics().counter("plan.feedback_evictions")) {}
-
-uint64_t PlanStatsStore::QueryMechKey(uint64_t query_hash,
-                                      MechanismKind mechanism) {
-  // Golden-ratio mix of the mechanism into the query hash; collisions across
-  // distinct (query, mechanism) pairs are as unlikely as Checksum64 ones.
-  return query_hash ^
-         (0x9e3779b97f4a7c15ull * (static_cast<uint64_t>(mechanism) + 1));
-}
 
 void PlanStatsStore::Record(const PlanIdentity& id,
                             const PlanObservation& obs) {
@@ -41,32 +34,23 @@ void PlanStatsStore::Record(const PlanIdentity& id,
     while (entries_.size() >= max_entries_) {
       const uint64_t victim = lru_.front();
       lru_.pop_front();
-      auto vit = entries_.find(victim);
-      if (vit != entries_.end()) {
-        // Prune the secondary index with its entry so LookupByQuery never
-        // resolves to an evicted fingerprint.
-        auto idx = index_.find(vit->second.query_mech_key);
-        if (idx != index_.end() && idx->second == victim) index_.erase(idx);
-        entries_.erase(vit);
-      }
+      entries_.erase(victim);
       m_evictions_->Increment();
     }
     Entry entry;
     entry.stats.id = id;
     entry.lru_it = lru_.insert(lru_.end(), id.fingerprint);
-    entry.query_mech_key = QueryMechKey(id.query_hash, id.mechanism);
     it = entries_.emplace(id.fingerprint, std::move(entry)).first;
-    index_[it->second.query_mech_key] = id.fingerprint;
   } else {
     lru_.splice(lru_.end(), lru_, it->second.lru_it);
   }
   PlanStats& stats = it->second.stats;
-  auto fold = [this, &stats](double* ewma, uint64_t v) {
+  auto fold = [&stats](double* ewma, uint64_t v) {
     const double value = static_cast<double>(v);
     if (stats.observations == 0) {
       *ewma = value;
     } else {
-      *ewma += alpha_ * (value - *ewma);
+      *ewma += kAlpha * (value - *ewma);
     }
   };
   fold(&stats.ewma_wall_nanos, obs.wall_nanos);
@@ -81,16 +65,6 @@ void PlanStatsStore::Record(const PlanIdentity& id,
 std::optional<PlanStats> PlanStatsStore::Lookup(uint64_t fingerprint) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(fingerprint);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second.stats;
-}
-
-std::optional<PlanStats> PlanStatsStore::LookupByQuery(
-    uint64_t query_hash, MechanismKind mechanism) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto idx = index_.find(QueryMechKey(query_hash, mechanism));
-  if (idx == index_.end()) return std::nullopt;
-  auto it = entries_.find(idx->second);
   if (it == entries_.end()) return std::nullopt;
   return it->second.stats;
 }
@@ -114,7 +88,6 @@ void PlanStatsStore::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
   lru_.clear();
-  index_.clear();
 }
 
 size_t PlanStatsStore::size() const {

@@ -15,14 +15,10 @@
 namespace ldp {
 
 /// Identity of one executed plan as the stats store keys it. The fingerprint
-/// is the primary key (a plan's canonical text checksum — stable across runs
-/// and processes); query_hash (Checksum64 of the logical cache key) plus the
-/// mechanism form a secondary key so the planner can ask "what did THIS query
-/// cost under THAT candidate mechanism" before the candidate's plan (and
-/// hence its fingerprint) exists.
+/// is the key (a plan's canonical text checksum — stable across runs and
+/// processes); mechanism and strategy ride along for replay reports.
 struct PlanIdentity {
   uint64_t fingerprint = 0;
-  uint64_t query_hash = 0;
   MechanismKind mechanism = MechanismKind::kHio;
   PlanStrategy strategy = PlanStrategy::kDirectLevelGrid;
 };
@@ -33,7 +29,7 @@ PlanIdentity PlanIdentityOf(const PhysicalPlan& plan);
 /// One measured execution of a plan, as observed by the engine. Wall times
 /// are display/replay data only; nodes_touched and estimate_calls are the
 /// deterministic work measures (identical across thread counts, estimate
-/// cache on/off, and SIMD levels) that feedback-driven planning may consume.
+/// cache on/off, and SIMD levels), so EXPLAIN's actuals for them are too.
 struct PlanObservation {
   uint64_t wall_nanos = 0;
   uint64_t fanout_nanos = 0;
@@ -56,27 +52,23 @@ struct PlanStats {
   double ewma_nodes = 0.0;
 };
 
-/// Bounded, thread-safe store of measured plan costs — the obs → planner
-/// feedback channel. AnalyticsEngine records one PlanObservation per
-/// Execute/ExecuteBatch plan execution; Planner::Plan consults the store
-/// (when PlannerOptions::enable_feedback is on) to rank mechanism candidates
-/// by measured work once every candidate has >= min_observations()
-/// observations for the query, and EXPLAIN renders predicted-vs-actual from
-/// the same entries.
+/// Bounded, thread-safe, record-only log of measured plan actuals.
+/// AnalyticsEngine records one PlanObservation per Execute/ExecuteBatch plan
+/// execution when EngineOptions::enable_feedback is on; EXPLAIN renders
+/// predicted-vs-actual from the entries and ComparePlanStats diffs two
+/// stores for plan-regression replay. Nothing reads the store back into
+/// planning: the mechanism choice stays with the analytic cost model.
 ///
 /// Smoothing is a classic EWMA: the first observation seeds the value,
-/// subsequent ones fold in as ewma += alpha * (v - ewma). Entries are evicted
-/// least-recently-recorded first when the store exceeds max_entries(); the
-/// (query_hash, mechanism) secondary index is pruned together with its entry,
-/// so a LookupByQuery never resolves to an evicted fingerprint.
+/// subsequent ones fold in as ewma += 0.25 * (v - ewma). Entries are
+/// evicted least-recently-recorded first when the store exceeds
+/// max_entries().
 ///
 /// GlobalMetrics mirrors activity under `plan.feedback_records` and
-/// `plan.feedback_evictions`; the planner-side counters
-/// (`plan.feedback_lookups/hits/overrides`) live in the planner.
+/// `plan.feedback_evictions`.
 class PlanStatsStore {
  public:
-  explicit PlanStatsStore(size_t max_entries = 1024, double alpha = 0.25,
-                          uint64_t min_observations = 3);
+  explicit PlanStatsStore(size_t max_entries = 1024);
 
   /// Folds one measured execution into the fingerprint's EWMA entry,
   /// creating (and possibly evicting) as needed.
@@ -85,20 +77,11 @@ class PlanStatsStore {
   /// The smoothed stats for a plan fingerprint, if recorded.
   std::optional<PlanStats> Lookup(uint64_t fingerprint) const;
 
-  /// The smoothed stats for (query, candidate mechanism) — the planner's
-  /// pre-fingerprint view. Returns the entry of the most recently recorded
-  /// fingerprint for that pair.
-  std::optional<PlanStats> LookupByQuery(uint64_t query_hash,
-                                         MechanismKind mechanism) const;
-
   /// All entries, fingerprint-sorted — deterministic, for replay/reporting.
   std::vector<PlanStats> Snapshot() const;
 
   void Clear();
 
-  /// Observations a fingerprint needs before feedback treats it as warmed.
-  uint64_t min_observations() const { return min_observations_; }
-  double alpha() const { return alpha_; }
   size_t max_entries() const { return max_entries_; }
   size_t size() const;
 
@@ -106,21 +89,13 @@ class PlanStatsStore {
   struct Entry {
     PlanStats stats;
     std::list<uint64_t>::iterator lru_it;
-    /// Back-pointer into index_ so eviction prunes the secondary index.
-    uint64_t query_mech_key = 0;
   };
 
-  static uint64_t QueryMechKey(uint64_t query_hash, MechanismKind mechanism);
-
   size_t max_entries_;
-  double alpha_;
-  uint64_t min_observations_;
   mutable std::mutex mu_;
   std::unordered_map<uint64_t, Entry> entries_;
   /// Least-recently-recorded order, front = evict first.
   std::list<uint64_t> lru_;
-  /// (query_hash, mechanism) -> fingerprint of the latest recorded plan.
-  std::unordered_map<uint64_t, uint64_t> index_;
   Counter* m_records_;
   Counter* m_evictions_;
 };

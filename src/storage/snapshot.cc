@@ -102,6 +102,13 @@ Result<SnapshotData> DecodeSnapshot(std::string_view bytes) {
   pos += spec_len;
   const uint64_t entry_count = GetU64(body.substr(pos, 8));
   pos += 8;
+  // Each entry takes at least 12 bytes (user + payload length): bound the
+  // count by the body before it sizes an allocation.
+  if (entry_count > (body.size() - pos) / 12) {
+    return Status::ParseError("snapshot entry count " +
+                              std::to_string(entry_count) +
+                              " exceeds the body");
+  }
   data.entries.reserve(entry_count);
   for (uint64_t i = 0; i < entry_count; ++i) {
     if (body.size() < pos + 12) {

@@ -1,8 +1,7 @@
-// The obs -> planner feedback loop: PlanStatsStore unit behavior (EWMA
-// smoothing, bounded eviction with secondary-index pruning), engine-level
-// recording, the bit-identity contract (feedback on/off, threads, caches),
-// EXPLAIN's predicted-vs-actual block and its warmup gating, measured-cost
-// mechanism overrides, ExecuteWithBound's per-plan variance dispatch, and
+// Plan actuals recording: PlanStatsStore unit behavior (EWMA smoothing,
+// bounded least-recently-recorded eviction), engine-level recording, the
+// bit-identity contract (recording on/off, threads, caches), EXPLAIN's
+// predicted-vs-actual block, the executor's per-plan variance dispatch, and
 // the ComparePlanStats replay-regression report.
 
 #include <algorithm>
@@ -14,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/hash.h"
 #include "data/generator.h"
 #include "engine/engine.h"
 #include "mech/multi.h"
@@ -39,7 +37,6 @@ struct FeedbackEngineConfig {
   std::vector<MechanismKind> mechanisms = {MechanismKind::kHio,
                                            MechanismKind::kMg};
   bool feedback = true;
-  int min_observations = 1;
   int threads = 1;
   bool estimate_cache = true;
   bool plan_cache = true;
@@ -56,7 +53,6 @@ std::unique_ptr<AnalyticsEngine> MakeEngine(const Table& table,
   options.enable_estimate_cache = cfg.estimate_cache;
   options.enable_plan_cache = cfg.plan_cache;
   options.enable_feedback = cfg.feedback;
-  options.feedback_min_observations = cfg.min_observations;
   return AnalyticsEngine::Create(table, options).ValueOrDie();
 }
 
@@ -97,11 +93,9 @@ std::string LineStartingWith(const std::string& text,
   return "";
 }
 
-PlanIdentity Identity(uint64_t fingerprint, uint64_t query_hash,
-                      MechanismKind mechanism) {
+PlanIdentity Identity(uint64_t fingerprint, MechanismKind mechanism) {
   PlanIdentity id;
   id.fingerprint = fingerprint;
-  id.query_hash = query_hash;
   id.mechanism = mechanism;
   return id;
 }
@@ -119,9 +113,8 @@ PlanObservation Obs(uint64_t wall, uint64_t nodes, uint64_t calls = 1) {
 // --- PlanStatsStore units --------------------------------------------------
 
 TEST(PlanStatsStoreTest, EwmaSeedsThenSmooths) {
-  PlanStatsStore store(/*max_entries=*/16, /*alpha=*/0.25,
-                       /*min_observations=*/3);
-  const auto id = Identity(0xabc, 7, MechanismKind::kHio);
+  PlanStatsStore store(/*max_entries=*/16);
+  const auto id = Identity(0xabc, MechanismKind::kHio);
   store.Record(id, Obs(100, 40, 2));
   auto stats = store.Lookup(0xabc);
   ASSERT_TRUE(stats.has_value());
@@ -139,53 +132,33 @@ TEST(PlanStatsStoreTest, EwmaSeedsThenSmooths) {
   EXPECT_DOUBLE_EQ(stats->ewma_wall_nanos, 125.0);
   EXPECT_DOUBLE_EQ(stats->ewma_nodes, 50.0);
   EXPECT_DOUBLE_EQ(stats->ewma_estimate_calls, 2.5);
-  EXPECT_EQ(stats->id.query_hash, 7u);
   EXPECT_EQ(stats->id.mechanism, MechanismKind::kHio);
 }
 
-TEST(PlanStatsStoreTest, EvictionBoundsEntriesAndPrunesQueryIndex) {
+TEST(PlanStatsStoreTest, EvictionBoundsEntriesLeastRecentlyRecordedFirst) {
   PlanStatsStore store(/*max_entries=*/2);
-  store.Record(Identity(1, 10, MechanismKind::kHio), Obs(100, 1));
-  store.Record(Identity(2, 20, MechanismKind::kHio), Obs(100, 1));
-  store.Record(Identity(3, 30, MechanismKind::kHio), Obs(100, 1));
+  store.Record(Identity(1, MechanismKind::kHio), Obs(100, 1));
+  store.Record(Identity(2, MechanismKind::kHio), Obs(100, 1));
+  store.Record(Identity(3, MechanismKind::kHio), Obs(100, 1));
   EXPECT_EQ(store.size(), 2u);
-  // Fingerprint 1 was least recently recorded: gone from the primary map AND
-  // from the (query_hash, mechanism) index — a LookupByQuery must never
-  // resolve to an evicted entry.
+  // Fingerprint 1 was least recently recorded.
   EXPECT_FALSE(store.Lookup(1).has_value());
-  EXPECT_FALSE(store.LookupByQuery(10, MechanismKind::kHio).has_value());
   EXPECT_TRUE(store.Lookup(2).has_value());
-  EXPECT_TRUE(store.LookupByQuery(30, MechanismKind::kHio).has_value());
+  EXPECT_TRUE(store.Lookup(3).has_value());
 
   // Re-recording an existing fingerprint refreshes recency instead of
   // evicting it.
-  store.Record(Identity(2, 20, MechanismKind::kHio), Obs(100, 1));
-  store.Record(Identity(4, 40, MechanismKind::kHio), Obs(100, 1));
+  store.Record(Identity(2, MechanismKind::kHio), Obs(100, 1));
+  store.Record(Identity(4, MechanismKind::kHio), Obs(100, 1));
   EXPECT_TRUE(store.Lookup(2).has_value());
   EXPECT_FALSE(store.Lookup(3).has_value());
-  EXPECT_FALSE(store.LookupByQuery(30, MechanismKind::kHio).has_value());
-}
-
-TEST(PlanStatsStoreTest, LookupByQueryDistinguishesMechanisms) {
-  PlanStatsStore store(16);
-  store.Record(Identity(0x111, 5, MechanismKind::kHio), Obs(100, 10));
-  store.Record(Identity(0x222, 5, MechanismKind::kMg), Obs(100, 99));
-  const auto hio = store.LookupByQuery(5, MechanismKind::kHio);
-  const auto mg = store.LookupByQuery(5, MechanismKind::kMg);
-  ASSERT_TRUE(hio.has_value());
-  ASSERT_TRUE(mg.has_value());
-  EXPECT_EQ(hio->id.fingerprint, 0x111u);
-  EXPECT_EQ(mg->id.fingerprint, 0x222u);
-  EXPECT_DOUBLE_EQ(hio->ewma_nodes, 10.0);
-  EXPECT_DOUBLE_EQ(mg->ewma_nodes, 99.0);
-  EXPECT_FALSE(store.LookupByQuery(5, MechanismKind::kSc).has_value());
 }
 
 TEST(PlanStatsStoreTest, SnapshotIsFingerprintSortedAndClearEmpties) {
   PlanStatsStore store(16);
-  store.Record(Identity(30, 1, MechanismKind::kHio), Obs(1, 1));
-  store.Record(Identity(10, 2, MechanismKind::kHio), Obs(1, 1));
-  store.Record(Identity(20, 3, MechanismKind::kHio), Obs(1, 1));
+  store.Record(Identity(30, MechanismKind::kHio), Obs(1, 1));
+  store.Record(Identity(10, MechanismKind::kHio), Obs(1, 1));
+  store.Record(Identity(20, MechanismKind::kHio), Obs(1, 1));
   const auto snapshot = store.Snapshot();
   ASSERT_EQ(snapshot.size(), 3u);
   EXPECT_EQ(snapshot[0].id.fingerprint, 10u);
@@ -195,7 +168,6 @@ TEST(PlanStatsStoreTest, SnapshotIsFingerprintSortedAndClearEmpties) {
   EXPECT_EQ(store.size(), 0u);
   EXPECT_TRUE(store.Snapshot().empty());
   EXPECT_FALSE(store.Lookup(10).has_value());
-  EXPECT_FALSE(store.LookupByQuery(2, MechanismKind::kHio).has_value());
 }
 
 // --- Replay regression detection -------------------------------------------
@@ -204,8 +176,8 @@ TEST(ReplayTest, FlagsArtificiallyInflatedFingerprint) {
   // Two recorded runs of the same two-plan workload; one plan's wall time is
   // inflated 3x in the current run — the report must name exactly it.
   PlanStatsStore baseline(16), current(16);
-  const auto slow = Identity(0xdeadbeef, 1, MechanismKind::kHio);
-  const auto steady = Identity(0x42, 2, MechanismKind::kMg);
+  const auto slow = Identity(0xdeadbeef, MechanismKind::kHio);
+  const auto steady = Identity(0x42, MechanismKind::kMg);
   for (int i = 0; i < 3; ++i) {
     baseline.Record(slow, Obs(1000, 50));
     baseline.Record(steady, Obs(2000, 80));
@@ -233,8 +205,8 @@ TEST(ReplayTest, FlagsArtificiallyInflatedFingerprint) {
 
 TEST(ReplayTest, DisjointFingerprintsAreReportedNotCompared) {
   PlanStatsStore baseline(16), current(16);
-  baseline.Record(Identity(1, 1, MechanismKind::kHio), Obs(100, 1));
-  current.Record(Identity(2, 2, MechanismKind::kHio), Obs(100, 1));
+  baseline.Record(Identity(1, MechanismKind::kHio), Obs(100, 1));
+  current.Record(Identity(2, MechanismKind::kHio), Obs(100, 1));
   const ReplayReport report = ComparePlanStats(baseline, current);
   EXPECT_TRUE(report.findings.empty());
   EXPECT_EQ(report.num_regressions, 0u);
@@ -265,8 +237,7 @@ TEST(FeedbackEngineTest, ExecuteRecordsObservationsIntoTheStore) {
   EXPECT_GT(stats->ewma_nodes, 0.0);
   EXPECT_GT(stats->ewma_estimate_calls, 0.0);
   EXPECT_EQ(stats->id.mechanism, plan->mechanism);
-  EXPECT_EQ(stats->id.query_hash,
-            Checksum64(QueryCacheKey(table.schema(), query)));
+  EXPECT_EQ(stats->id.strategy, plan->strategy);
 }
 
 TEST(FeedbackEngineTest, FeedbackOffLeavesTheStoreNull) {
@@ -278,10 +249,9 @@ TEST(FeedbackEngineTest, FeedbackOffLeavesTheStoreNull) {
 }
 
 TEST(FeedbackEngineTest, ResultsBitIdenticalAcrossThreadsAndCaches) {
-  // The ISSUE's core contract: recording actuals and (potentially) ranking
-  // by them must never perturb an answer. Feedback cost is EWMA nodes
-  // touched — a deterministic work measure — so every (threads, cache)
-  // configuration executes the same plans and returns the same bits.
+  // The core contract: recording actuals must never perturb an answer.
+  // Every (threads, cache) configuration executes the same plans and
+  // returns the same bits.
   const Table table = SmallTable();
   const std::vector<Query> queries = Workload(table.schema());
 
@@ -294,7 +264,7 @@ TEST(FeedbackEngineTest, ResultsBitIdenticalAcrossThreadsAndCaches) {
       cfg.estimate_cache = cache;
       const auto engine = MakeEngine(table, cfg);
       std::vector<double> answers;
-      for (int rep = 0; rep < 3; ++rep) {  // reps re-plan against a warming store
+      for (int rep = 0; rep < 3; ++rep) {  // reps run against a growing store
         for (const Query& q : queries) {
           answers.push_back(engine->Execute(q).ValueOrDie());
         }
@@ -326,8 +296,8 @@ TEST(FeedbackEngineTest, ResultsBitIdenticalAcrossThreadsAndCaches) {
 TEST(FeedbackEngineTest, NodesTouchedInvariantToEstimateCache) {
   // The recorded work measure counts cache probes (hits + misses) when the
   // estimate cache is on and kernel-estimated nodes when it is off — the
-  // same total either way. This is what makes feedback ranking safe to
-  // compare across deployments with different cache settings.
+  // same total either way, so recorded actuals compare across deployments
+  // with different cache settings.
   const Table table = SmallTable();
   const Query query = Workload(table.schema())[0];
 
@@ -355,13 +325,10 @@ TEST(FeedbackEngineTest, FeedbackOnMatchesFeedbackOffBitForBit) {
   FeedbackEngineConfig off_cfg;
   off_cfg.feedback = false;
   const auto off = MakeEngine(table, off_cfg);
-  FeedbackEngineConfig on_cfg;
-  on_cfg.min_observations = 1;  // warms as fast as possible
-  const auto on = MakeEngine(table, on_cfg);
+  const auto on = MakeEngine(table, FeedbackEngineConfig{});
 
-  // Even with an instantly warming store, natural execution only ever
-  // observes the chosen mechanism — the all-candidates-warmed gate keeps
-  // the analytic choice, so answers match the feedback-off engine exactly.
+  // Planning never reads the store, so the recording engine runs the same
+  // plans as the non-recording one and its answers match exactly.
   for (int rep = 0; rep < 5; ++rep) {
     for (const Query& q : queries) {
       EXPECT_EQ(on->Execute(q).ValueOrDie(), off->Execute(q).ValueOrDie());
@@ -369,35 +336,42 @@ TEST(FeedbackEngineTest, FeedbackOnMatchesFeedbackOffBitForBit) {
   }
 }
 
-// --- EXPLAIN: predicted-vs-actual and warmup gating -------------------------
+// --- EXPLAIN: predicted-vs-actual ------------------------------------------
 
-TEST(FeedbackExplainTest, BlockAppearsOnlyAfterWarmup) {
+TEST(FeedbackExplainTest, BlockAppearsAfterFirstExecution) {
   const Table table = SmallTable();
-  FeedbackEngineConfig cfg;
-  cfg.min_observations = 3;
-  // No plan cache: PlanFor re-plans against the live store, so the plan
-  // object itself (not just Explain's overlay) carries fresh feedback.
-  cfg.plan_cache = false;
-  const auto engine = MakeEngine(table, cfg);
+  // Plan cache on (the default): Explain and PlanFor overlay the live store
+  // on the cached plan, so the block tracks every recorded execution.
+  const auto engine = MakeEngine(table, FeedbackEngineConfig{});
   const Query query = Workload(table.schema())[0];
 
-  // Unobserved and under-observed plans render exactly the feedback-off
-  // text: no "feedback:" block before K observations.
+  // An unobserved plan renders exactly the recording-off text: no
+  // "feedback:" block before the first execution.
   EXPECT_EQ(LineStartingWith(engine->Explain(query).ValueOrDie(), "feedback:"),
             "");
-  ASSERT_TRUE(engine->Execute(query).ok());
-  ASSERT_TRUE(engine->Execute(query).ok());
-  EXPECT_EQ(LineStartingWith(engine->Explain(query).ValueOrDie(), "feedback:"),
-            "");
+  EXPECT_EQ(engine->PlanFor(query).ValueOrDie()->feedback.observations, 0u);
 
   ASSERT_TRUE(engine->Execute(query).ok());
-  const std::string text = engine->Explain(query).ValueOrDie();
+  std::string text = engine->Explain(query).ValueOrDie();
   EXPECT_EQ(LineStartingWith(text, "feedback:"), "feedback:");
+  EXPECT_EQ(LineStartingWith(text, "  observations:"), "  observations: 1");
+  // The block is the observation count plus three predicted-vs-actual rows.
+  const std::vector<std::string> lines = Lines(text);
+  const auto block = std::find(lines.begin(), lines.end(), "feedback:");
+  ASSERT_LT(block + 4, lines.end());
+  EXPECT_EQ(block[1].rfind("  observations:", 0), 0u) << block[1];
+  EXPECT_EQ(block[2].rfind("  estimate_calls:", 0), 0u) << block[2];
+  EXPECT_EQ(block[3].rfind("  node_estimates:", 0), 0u) << block[3];
+  EXPECT_EQ(block[4].rfind("  wall_nanos:", 0), 0u) << block[4];
+
+  ASSERT_TRUE(engine->Execute(query).ok());
+  ASSERT_TRUE(engine->Execute(query).ok());
+  text = engine->Explain(query).ValueOrDie();
   EXPECT_EQ(LineStartingWith(text, "  observations:"), "  observations: 3");
-  EXPECT_EQ(LineStartingWith(text, "  overrode:"), "  overrode: 0");
   // The deterministic predicted-vs-actual rows: predictions come from the
   // plan's cost annotations, actuals from the store's EWMA.
   const auto plan = engine->PlanFor(query).ValueOrDie();
+  EXPECT_EQ(plan->feedback.observations, 3u);
   const auto stats = engine->plan_stats()->Lookup(plan->fingerprint);
   ASSERT_TRUE(stats.has_value());
   const std::string calls = LineStartingWith(text, "  estimate_calls:");
@@ -412,20 +386,19 @@ TEST(FeedbackExplainTest, BlockAppearsOnlyAfterWarmup) {
             std::string::npos);
 
   // The JSON rendering carries the same block.
-  const std::string json =
-      engine->PlanFor(query).ValueOrDie()->ToJson(table.schema());
-  EXPECT_NE(json.find("\"feedback\":{\"observations\":3"), std::string::npos);
+  const std::string json = plan->ToJson(table.schema());
+  EXPECT_NE(json.find("\"feedback\":{\"observations\":3,"
+                      "\"predicted_estimate_calls\":"),
+            std::string::npos);
 }
 
 TEST(FeedbackExplainTest, WarmedExplainIsGoldenTextPlusFeedbackBlock) {
   // Observation must not change anything else about the plan or its
-  // rendering: stripping the feedback block from the warmed EXPLAIN yields
+  // rendering: stripping the feedback block from the observed EXPLAIN yields
   // the feedback-off engine's EXPLAIN verbatim — same fingerprint line
   // included, since the block is excluded from the fingerprint.
   const Table table = SmallTable();
-  FeedbackEngineConfig on_cfg;
-  on_cfg.min_observations = 1;
-  const auto on = MakeEngine(table, on_cfg);
+  const auto on = MakeEngine(table, FeedbackEngineConfig{});
   FeedbackEngineConfig off_cfg;
   off_cfg.feedback = false;
   const auto off = MakeEngine(table, off_cfg);
@@ -437,103 +410,23 @@ TEST(FeedbackExplainTest, WarmedExplainIsGoldenTextPlusFeedbackBlock) {
   std::vector<std::string> on_lines = Lines(on->Explain(query).ValueOrDie());
   const auto block = std::find(on_lines.begin(), on_lines.end(), "feedback:");
   ASSERT_NE(block, on_lines.end());
-  on_lines.erase(block, block + 6);  // "feedback:" + five detail rows
+  on_lines.erase(block, block + 5);  // "feedback:" + four detail rows
   EXPECT_EQ(on_lines, off_lines);
 
   EXPECT_EQ(on->PlanFor(query).ValueOrDie()->fingerprint,
             off->PlanFor(query).ValueOrDie()->fingerprint);
 }
 
-// --- Measured-cost override and per-plan variance dispatch ------------------
-
-/// Fabricates a fully warmed store for `query` that makes `winner` measure
-/// cheapest, so the next Plan() must pick it regardless of analytic scores.
-void WarmStoreTowards(AnalyticsEngine* engine, const Query& query,
-                      MechanismKind winner,
-                      const std::vector<MechanismKind>& kinds) {
-  const uint64_t query_hash =
-      Checksum64(QueryCacheKey(engine->schema(), query));
-  uint64_t fake_fingerprint = 0xf00d;
-  for (const MechanismKind kind : kinds) {
-    const uint64_t nodes = kind == winner ? 1 : 1000000;
-    for (uint64_t i = 0; i < engine->plan_stats()->min_observations(); ++i) {
-      engine->plan_stats()->Record(Identity(fake_fingerprint, query_hash, kind),
-                                   Obs(100, nodes));
-    }
-    ++fake_fingerprint;
-  }
-}
-
-TEST(FeedbackOverrideTest, MeasuredCostOverridesAnalyticChoice) {
-  const Table table = SmallTable();
-  FeedbackEngineConfig cfg;
-  cfg.plan_cache = false;  // every PlanFor re-plans against the live store
-  const auto engine = MakeEngine(table, cfg);
-  const Query query = Workload(table.schema())[0];
-
-  const auto analytic = engine->PlanFor(query).ValueOrDie();
-  EXPECT_FALSE(analytic->feedback.overrode);
-  ASSERT_EQ(analytic->candidates.size(), 2u);
-
-  // Make the analytically rejected candidate measure cheapest.
-  const MechanismKind loser = analytic->mechanism == MechanismKind::kHio
-                                  ? MechanismKind::kMg
-                                  : MechanismKind::kHio;
-  WarmStoreTowards(engine.get(), query, loser, cfg.mechanisms);
-
-  Counter* overrides = GlobalMetrics().counter("plan.feedback_overrides");
-  const uint64_t before = overrides->value();
-  const auto overridden = engine->PlanFor(query).ValueOrDie();
-  EXPECT_EQ(overridden->mechanism, loser);
-  EXPECT_TRUE(overridden->feedback.overrode);
-  EXPECT_EQ(overrides->value() - before, 1u);
-  // The override picks a different strategy, not different garbage: the
-  // plan still executes.
-  EXPECT_TRUE(engine->Execute(query).ok());
-
-  // Agreement (measured winner == analytic winner) is a hit, not an
-  // override. Start from an empty store — the fabricated entries above
-  // would otherwise keep biasing the EWMA.
-  engine->plan_stats()->Clear();
-  WarmStoreTowards(engine.get(), query, analytic->mechanism, cfg.mechanisms);
-  const auto agreed = engine->PlanFor(query).ValueOrDie();
-  EXPECT_EQ(agreed->mechanism, analytic->mechanism);
-  EXPECT_FALSE(agreed->feedback.overrode);
-}
-
-TEST(FeedbackOverrideTest, PartialWarmupKeepsTheAnalyticChoice) {
-  // Only one candidate warmed: comparing a measurement against an analytic
-  // proxy would bias toward whichever ran first, so the gate requires every
-  // feasible candidate to be warmed.
-  const Table table = SmallTable();
-  FeedbackEngineConfig cfg;
-  cfg.plan_cache = false;
-  const auto engine = MakeEngine(table, cfg);
-  const Query query = Workload(table.schema())[0];
-  const auto analytic = engine->PlanFor(query).ValueOrDie();
-
-  const MechanismKind loser = analytic->mechanism == MechanismKind::kHio
-                                  ? MechanismKind::kMg
-                                  : MechanismKind::kHio;
-  const uint64_t query_hash =
-      Checksum64(QueryCacheKey(engine->schema(), query));
-  engine->plan_stats()->Record(Identity(0xf00d, query_hash, loser),
-                               Obs(100, 1));
-
-  const auto plan = engine->PlanFor(query).ValueOrDie();
-  EXPECT_EQ(plan->mechanism, analytic->mechanism);
-  EXPECT_FALSE(plan->feedback.overrode);
-}
+// --- Per-plan variance dispatch ---------------------------------------------
 
 TEST(FeedbackOverrideTest, ExecuteWithBoundUsesThePlansMechanism) {
   // The RunWithBound regression: on a composite engine the variance bound
   // used to route through MultiMechanism::VarianceBound's own shape-based
-  // sub selection, ignoring plan.mechanism — so a feedback (or cost-model)
-  // override would report an error bar for a mechanism the plan never ran.
+  // sub selection, ignoring plan.mechanism — so a plan whose mechanism
+  // differs from that selection would report an error bar for a mechanism
+  // it never ran. Build such a plan by hand from the analytic one.
   const Table table = SmallTable();
-  FeedbackEngineConfig cfg;
-  cfg.plan_cache = false;
-  const auto engine = MakeEngine(table, cfg);
+  const auto engine = MakeEngine(table, FeedbackEngineConfig{});
   const Query query =
       ParseQuery(table.schema(), "SELECT COUNT(*) FROM T WHERE a IN [2, 9]")
           .ValueOrDie();
@@ -543,38 +436,39 @@ TEST(FeedbackOverrideTest, ExecuteWithBoundUsesThePlansMechanism) {
   ASSERT_NE(multi, nullptr);
 
   const auto analytic = engine->PlanFor(query).ValueOrDie();
-  const MechanismKind loser = analytic->mechanism == MechanismKind::kHio
-                                  ? MechanismKind::kMg
-                                  : MechanismKind::kHio;
-  WarmStoreTowards(engine.get(), query, loser, cfg.mechanisms);
-  const auto plan = engine->PlanFor(query).ValueOrDie();
-  ASSERT_EQ(plan->mechanism, loser);
+  ASSERT_EQ(analytic->candidates.size(), 2u);
+  PhysicalPlan plan = *analytic;
+  if (analytic->mechanism == MechanismKind::kHio) {
+    plan.mechanism = MechanismKind::kMg;
+    plan.strategy = PlanStrategy::kMgCellStream;
+  } else {
+    plan.mechanism = MechanismKind::kHio;
+    plan.strategy = PlanStrategy::kDirectLevelGrid;
+  }
 
   // COUNT with no public constraints weights every user 1.
   const WeightVector ones = WeightVector::Ones(table.num_rows());
-  double expected = 0.0;
-  for (const auto& term : plan->logical.terms) {
-    const double variance =
-        multi->VarianceBoundWith(plan->mechanism, term.sensitive, ones)
-            .ValueOrDie();
-    expected += std::abs(term.coefficient) *
-                std::sqrt(std::max(variance, 0.0));
-  }
+  auto bound_sum = [&](MechanismKind kind) {
+    double sum = 0.0;
+    for (const auto& term : plan.logical.terms) {
+      const double variance =
+          multi->VarianceBoundWith(kind, term.sensitive, ones).ValueOrDie();
+      sum += std::abs(term.coefficient) * std::sqrt(std::max(variance, 0.0));
+    }
+    return sum;
+  };
+  const double expected = bound_sum(plan.mechanism);
+  const double other = bound_sum(analytic->mechanism);
   // The two candidates bound differently — otherwise dispatch is untestable.
-  double other = 0.0;
-  for (const auto& term : plan->logical.terms) {
-    other += std::abs(term.coefficient) *
-             std::sqrt(std::max(
-                 multi
-                     ->VarianceBoundWith(analytic->mechanism, term.sensitive,
-                                         ones)
-                     .ValueOrDie(),
-                 0.0));
-  }
   ASSERT_NE(expected, other);
 
-  const auto bounded = engine->ExecuteWithBound(query).ValueOrDie();
+  const ExecutionContext exec(1);
+  const PlanExecutor executor(table, *multi, exec);
+  const auto bounded = executor.RunWithBound(plan).ValueOrDie();
   EXPECT_DOUBLE_EQ(bounded.stddev, expected);
+
+  // The engine's own entry point bounds the analytic plan's mechanism.
+  EXPECT_DOUBLE_EQ(engine->ExecuteWithBound(query).ValueOrDie().stddev, other);
 }
 
 }  // namespace

@@ -57,6 +57,21 @@ TEST(ReportSerializationTest, RejectsTrailingGarbage) {
 TEST(ReportSerializationTest, RejectsImplausibleCounts) {
   std::string bytes(4, '\xff');  // entry count ~4 billion
   EXPECT_FALSE(LdpReport::Deserialize(bytes).ok());
+
+  // A count under the 2^24 cap that the payload cannot hold (each entry
+  // encodes at least 16 bytes) is rejected before anything is allocated.
+  for (const uint32_t count : {uint32_t{1} << 24, uint32_t{2}}) {
+    std::string payload;
+    for (int i = 0; i < 4; ++i) {
+      payload.push_back(static_cast<char>((count >> (8 * i)) & 0xff));
+    }
+    payload.append(16, '\0');  // room for exactly one entry
+    const auto r = LdpReport::Deserialize(payload);
+    ASSERT_FALSE(r.ok()) << "count " << count;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+    EXPECT_NE(r.status().message().find("implausible"), std::string::npos)
+        << r.status().message();
+  }
 }
 
 // Round-trip fuzz loop (seeded for reproducibility): random valid reports

@@ -1,11 +1,14 @@
 // Snapshot file tests: checksummed roundtrip, quarantine-and-fall-back on
-// corruption (flipped header byte), spec mismatch refusal, retention
-// deletes, and .tmp leftovers being invisible to recovery.
+// corruption (flipped header byte, forged entry count), spec mismatch
+// refusal, retention deletes, and .tmp leftovers being invisible to
+// recovery.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "common/hash.h"
+#include "storage/coding.h"
 #include "storage/fault_fs.h"
 #include "storage/snapshot.h"
 
@@ -104,6 +107,36 @@ TEST(SnapshotTest, CorruptOnlySnapshotFallsBackToEmpty) {
   EXPECT_FALSE(load.loaded);  // caller degrades to full WAL replay
   EXPECT_EQ(load.quarantined, 1u);
   EXPECT_FALSE(load.note.ok());
+}
+
+TEST(SnapshotTest, ForgedEntryCountFallsBackToEmpty) {
+  // A checksum-valid body (Checksum64 is unkeyed, so anyone can forge one)
+  // whose entry count no body could hold: decoding must reject the count
+  // before reserving for it, then quarantine the file like any corruption.
+  std::string body;
+  for (int i = 0; i < 5; ++i) storage::PutU64(&body, 1);  // seq + counters
+  storage::PutU32(&body, static_cast<uint32_t>(std::string(kSpec).size()));
+  body.append(kSpec);
+  storage::PutU64(&body, uint64_t{1} << 61);  // entry count
+  std::string file = "LDPS";
+  file.push_back(static_cast<char>(kSnapshotVersion));
+  file.append(3, '\0');
+  storage::PutU64(&file, Checksum64(body));
+  file.append(body);
+
+  FaultFs fs;
+  ASSERT_TRUE(fs.CreateDir(kDir).ok());
+  auto out =
+      fs.OpenAppend(JoinPath(kDir, SnapshotFileName(5))).ValueOrDie();
+  ASSERT_TRUE(out->Append(file).ok());
+  ASSERT_TRUE(out->Close().ok());
+
+  const SnapshotLoad load = LoadLatestSnapshot(fs, kDir, kSpec).ValueOrDie();
+  EXPECT_FALSE(load.loaded);  // caller degrades to full WAL replay
+  EXPECT_EQ(load.quarantined, 1u);
+  EXPECT_EQ(load.note.code(), StatusCode::kParseError);
+  EXPECT_NE(load.note.message().find("entry count"), std::string::npos)
+      << load.note.message();
 }
 
 TEST(SnapshotTest, SpecMismatchRefusesRecovery) {
