@@ -88,9 +88,6 @@ void CopyInflated(const PlanStatsStore& src, uint64_t inflate_fingerprint,
         stats.id.fingerprint == inflate_fingerprint ? factor : 1.0;
     PlanObservation obs;
     obs.wall_nanos = static_cast<uint64_t>(stats.ewma_wall_nanos * scale);
-    obs.fanout_nanos = static_cast<uint64_t>(stats.ewma_fanout_nanos * scale);
-    obs.estimate_nanos =
-        static_cast<uint64_t>(stats.ewma_estimate_nanos * scale);
     obs.estimate_calls = static_cast<uint64_t>(stats.ewma_estimate_calls);
     obs.nodes_touched = static_cast<uint64_t>(stats.ewma_nodes);
     out->Record(stats.id, obs);

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
-#include "common/hash.h"
-#include "common/logging.h"
 #include "mech/multi.h"
 #include "query/plan.h"
 
@@ -13,37 +10,17 @@ namespace ldp {
 
 namespace {
 
-/// Canonical rendering of everything the planner's candidate scoring can
-/// see — the registered mechanism kinds (in order), the mechanism params,
-/// the consistency flag — plus the resolved SIMD kernel level, so recorded
-/// plans name the kernels that executed them. Checksummed into the
-/// plan-cache configuration fingerprint so plans built under one
-/// configuration are never served under another.
-uint64_t ConfigFingerprint(std::span<const MechanismKind> kinds,
-                          const EngineOptions& options) {
-  const MechanismParams& params = options.params;
-  std::ostringstream os;
-  for (const MechanismKind kind : kinds) {
-    os << MechanismKindName(kind) << ",";
-  }
-  os << "|eps=" << params.epsilon << "|b=" << params.fanout
-     << "|fo=" << static_cast<int>(params.fo_kind)
-     << "|pool=" << params.hash_pool_size
-     << "|hint=" << params.population_hint
-     << "|consistency=" << (options.planner_consistency ? 1 : 0)
-     << "|simd=" << SimdLevelName(ActiveSimdLevel());
-  return Checksum64(os.str());
+Counter* BatchQueries() {
+  static Counter* c = GlobalMetrics().counter("plan.batch_queries");
+  return c;
 }
 
 /// The executed plan's measured actuals, from its locally profiled run.
-PlanObservation ObservationOf(const QueryProfile& local,
-                              const NodeTouchMeter& meter) {
+PlanObservation ObservationOf(const QueryProfile& local) {
   PlanObservation obs;
   obs.wall_nanos = local.total_nanos;
-  obs.fanout_nanos = local.stages[QueryProfile::kFanout].wall_nanos;
-  obs.estimate_nanos = local.stages[QueryProfile::kEstimate].wall_nanos;
   obs.estimate_calls = local.estimate_calls;
-  obs.nodes_touched = meter.Touched();
+  obs.nodes_touched = local.nodes_estimated + local.cache_hits;
   return obs;
 }
 
@@ -58,8 +35,7 @@ Result<std::unique_ptr<AnalyticsEngine>> AnalyticsEngine::Create(
   GlobalMetrics().set_enabled(options.enable_metrics);
   // Process-wide like the metrics switch; LDP_CHECK-fatal on a forced level
   // this host cannot run (a silent fallback would record benchmarks under
-  // the wrong kernel label). Resolves kAuto, so ConfigFingerprint below
-  // sees a concrete level.
+  // the wrong kernel label).
   SetSimdLevel(options.simd_level);
   engine->exec_ = std::make_unique<ExecutionContext>(options.num_threads);
   // Registered mechanism set: `mechanisms` (when non-empty) overrides the
@@ -90,7 +66,6 @@ Result<std::unique_ptr<AnalyticsEngine>> AnalyticsEngine::Create(
   if (options.enable_feedback) {
     engine->plan_stats_ = std::make_unique<PlanStatsStore>();
   }
-  engine->config_fingerprint_ = ConfigFingerprint(kinds, options);
   if (options.enable_plan_cache && options.plan_cache_entries > 0) {
     engine->plan_cache_ =
         std::make_unique<PlanCache>(options.plan_cache_entries);
@@ -157,7 +132,7 @@ Result<std::shared_ptr<const PhysicalPlan>> AnalyticsEngine::GetPlan(
     TraceSpan probe_span(profile, QueryProfile::kPlan);
     if (plan_cache_ != nullptr) {
       key = QueryCacheKey(schema(), query);
-      if (auto plan = plan_cache_->Get(key, epoch, config_fingerprint_)) {
+      if (auto plan = plan_cache_->Get(key, epoch)) {
         return plan;
       }
     }
@@ -169,7 +144,6 @@ Result<std::shared_ptr<const PhysicalPlan>> AnalyticsEngine::GetPlan(
   TraceSpan build_span(profile, QueryProfile::kPlan);
   LDP_ASSIGN_OR_RETURN(PhysicalPlan physical,
                        planner_->Plan(std::move(logical).value(), epoch));
-  physical.config_fingerprint = config_fingerprint_;
   build_span.Stop();
   GlobalMetrics()
       .counter(std::string("plan.mechanism_choices.") +
@@ -183,28 +157,23 @@ Result<std::shared_ptr<const PhysicalPlan>> AnalyticsEngine::GetPlan(
 Result<double> AnalyticsEngine::ExecuteRecorded(
     const Query* query, std::shared_ptr<const PhysicalPlan> plan,
     QueryProfile* profile) const {
-  if (plan_stats_ == nullptr) {
-    ProfiledQueryScope scope(profile, *mechanism_, *exec_);
-    if (query != nullptr) {
-      LDP_ASSIGN_OR_RETURN(plan, GetPlan(*query, profile));
-    }
-    return executor_->Run(*plan, profile);
-  }
-  // Recording on: run against a local profile so the observation carries THIS
-  // execution's actuals, then merge into the caller's profile — its totals
-  // match the unrecorded path exactly.
+  // Recording runs against a local profile so the observation carries THIS
+  // execution's actuals; merging it into the caller's profile afterwards
+  // keeps the caller's totals identical to the unrecorded path. With neither
+  // a profile nor recording, `prof` is null and nothing reads a clock.
   QueryProfile local;
-  const NodeTouchMeter meter(*mechanism_);
+  QueryProfile* prof = plan_stats_ != nullptr ? &local : profile;
   const Result<double> result = [&]() -> Result<double> {
-    ProfiledQueryScope scope(&local, *mechanism_, *exec_);
+    ProfiledQueryScope scope(prof, *mechanism_, *exec_);
     if (query != nullptr) {
-      LDP_ASSIGN_OR_RETURN(plan, GetPlan(*query, &local));
+      LDP_ASSIGN_OR_RETURN(plan, GetPlan(*query, prof));
     }
-    return executor_->Run(*plan, &local);
+    return executor_->Run(*plan, prof);
   }();
+  if (plan_stats_ == nullptr) return result;
   if (profile != nullptr) profile->Merge(local);
-  if (result.ok() && plan != nullptr) {
-    plan_stats_->Record(PlanIdentityOf(*plan), ObservationOf(local, meter));
+  if (result.ok()) {
+    plan_stats_->Record(PlanIdentityOf(*plan), ObservationOf(local));
   }
   return result;
 }
@@ -221,8 +190,7 @@ Result<double> AnalyticsEngine::ExecuteSql(std::string_view sql,
   // epoch check happens in the keyed cache it points into.
   if (plan_cache_ != nullptr) {
     if (auto plan = plan_cache_->GetSql(std::string(sql),
-                                        mechanism_->num_reports(),
-                                        config_fingerprint_)) {
+                                        mechanism_->num_reports())) {
       return ExecuteRecorded(nullptr, std::move(plan), profile);
     }
   }
@@ -260,38 +228,11 @@ Status AnalyticsEngine::ExecuteBatch(std::span<const Query> queries,
   if (out.size() < queries.size()) {
     return Status::InvalidArgument("ExecuteBatch: output span too small");
   }
-  if (plan_stats_ == nullptr) {
-    ProfiledQueryScope scope(profile, *mechanism_, *exec_, queries.size());
-    std::vector<std::shared_ptr<const PhysicalPlan>> plans;
-    plans.reserve(queries.size());
-    for (const Query& query : queries) {
-      LDP_ASSIGN_OR_RETURN(auto plan, GetPlan(query, profile));
-      plans.push_back(std::move(plan));
-    }
-    return executor_->RunBatch(plans, out, profile);
+  BatchQueries()->Add(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    LDP_ASSIGN_OR_RETURN(out[i], Execute(queries[i], profile));
   }
-  // Recording on: the executor measures one observation per plan (dedup-aware
-  // — a shared estimate is charged to the plan that computed it), recorded
-  // after the whole batch succeeds.
-  QueryProfile local;
-  std::vector<std::shared_ptr<const PhysicalPlan>> plans;
-  std::vector<PlanObservation> observations;
-  const Status status = [&]() -> Status {
-    ProfiledQueryScope scope(&local, *mechanism_, *exec_, queries.size());
-    plans.reserve(queries.size());
-    for (const Query& query : queries) {
-      LDP_ASSIGN_OR_RETURN(auto plan, GetPlan(query, &local));
-      plans.push_back(std::move(plan));
-    }
-    return executor_->RunBatch(plans, out, &local, &observations);
-  }();
-  if (profile != nullptr) profile->Merge(local);
-  if (status.ok()) {
-    for (size_t i = 0; i < observations.size() && i < plans.size(); ++i) {
-      plan_stats_->Record(PlanIdentityOf(*plans[i]), observations[i]);
-    }
-  }
-  return status;
+  return Status::OK();
 }
 
 Result<std::shared_ptr<const PhysicalPlan>> AnalyticsEngine::PlanFor(

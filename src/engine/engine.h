@@ -64,19 +64,17 @@ struct EngineOptions {
   /// tree) for qualifying deployments — see PlannerOptions. Changes answers
   /// (that is its point), hence off by default.
   bool planner_consistency = false;
-  /// Plan actuals recording (see PlanStatsStore): every Execute/ExecuteBatch
-  /// records the executed plan's measured actuals, and EXPLAIN/PlanFor
-  /// render them as a predicted-vs-actual block. Record-only — planning
+  /// Plan actuals recording (see PlanStatsStore): every Execute (each
+  /// ExecuteBatch query included) records the executed plan's measured
+  /// actuals, and EXPLAIN/PlanFor render them as a predicted-vs-actual block. Record-only — planning
   /// never reads the store, so plans and answers are identical with it on
   /// or off. Off by default: recording profiles every execution.
   bool enable_feedback = false;
   /// Instruction-set level for the frequency-oracle estimate kernels
   /// (src/fo/simd/). kAuto picks the best supported level at Create();
   /// forcing a level the host does not support is LDP_CHECK-fatal. Purely a
-  /// performance knob — every level is bit-identical (see FoKernels) — but
-  /// the RESOLVED level is folded into config_fingerprint() so recorded
-  /// benchmark artifacts and cached plans name the kernels that produced
-  /// them. Process-wide, like enable_metrics: the last engine created wins.
+  /// performance knob — every level is bit-identical (see FoKernels).
+  /// Process-wide, like enable_metrics: the last engine created wins.
   SimdLevel simd_level = SimdLevel::kAuto;
 };
 
@@ -142,13 +140,11 @@ class AnalyticsEngine {
   Result<double> ExecuteSql(std::string_view sql,
                             QueryProfile* profile = nullptr) const;
 
-  /// Answers a whole workload in one pass: out[i] receives the estimate for
-  /// queries[i]. Node-estimate work with identical (weights, sensitive box)
-  /// is computed once and shared across the batch, so large templated
-  /// workloads issue far fewer mechanism estimate calls than sequential
-  /// Execute — with bit-identical answers (estimates are deterministic
-  /// post-processing, so sharing returns the exact bits a recomputation
-  /// would). Requires out.size() >= queries.size().
+  /// Answers a workload: out[i] receives Execute(queries[i], profile), run
+  /// in order, stopping at the first error. Repeated or overlapping queries
+  /// reuse node estimates through the estimate cache, so answers are
+  /// bit-identical to sequential Execute. Counted in `plan.batch_queries`.
+  /// Requires out.size() >= queries.size().
   Status ExecuteBatch(std::span<const Query> queries, std::span<double> out,
                       QueryProfile* profile = nullptr) const;
 
@@ -178,11 +174,6 @@ class AnalyticsEngine {
   /// is set. Exposed for tests and the replay harness (ComparePlanStats over
   /// two engines' stores).
   PlanStatsStore* plan_stats() const { return plan_stats_.get(); }
-  /// Fingerprint of the planner-visible configuration (registered mechanism
-  /// set, mechanism params, consistency flag). Stamped into every plan and
-  /// checked by the plan cache, so a cached plan is never served after the
-  /// candidate set changes. Exposed for tests.
-  uint64_t config_fingerprint() const { return config_fingerprint_; }
 
   /// Sum over rows of |expr| for the query's aggregate — the MNAE
   /// normalizer Sigma_S (Section 6, error measures). COUNT uses n.
@@ -222,8 +213,6 @@ class AnalyticsEngine {
   /// Null unless EngineOptions::enable_feedback is on.
   std::unique_ptr<PlanStatsStore> plan_stats_;
   std::unique_ptr<PlanExecutor> executor_;
-  /// See config_fingerprint().
-  uint64_t config_fingerprint_ = 0;
 };
 
 }  // namespace ldp

@@ -193,9 +193,8 @@ MetricsRegistry& GlobalMetrics() {
              "estimate_cache.epoch_drops", "fo_cache.hits", "fo_cache.builds",
              "fo_cache.stale_rebuilds", "fo_cache.evictions",
              "plan.rewrites", "plan.estimate_calls", "plan.batch_queries",
-             "plan.batch_dedup_hits", "plan_cache.hits", "plan_cache.misses",
-             "plan_cache.insertions", "plan_cache.evictions",
-             "plan_cache.epoch_drops", "plan_cache.config_drops",
+             "plan_cache.hits", "plan_cache.misses", "plan_cache.insertions",
+             "plan_cache.evictions", "plan_cache.epoch_drops",
              "plan.mechanism_choices.HI", "plan.mechanism_choices.HIO",
              "plan.mechanism_choices.SC", "plan.mechanism_choices.MG",
              "plan.mechanism_choices.QuadTree", "plan.mechanism_choices.Haar",

@@ -43,11 +43,11 @@ struct QueryProfile {
 
   /// Inclusion-exclusion terms the predicate rewrote into.
   uint64_t ie_terms = 0;
-  /// Mechanism EstimateBox calls the executor actually issued (batch dedup
-  /// hits are not counted — they issue no call).
+  /// Mechanism EstimateBox calls the executor issued.
   uint64_t estimate_calls = 0;
-  /// Hierarchy/grid nodes handed to estimation kernels (cache misses) plus
-  /// nodes served from the estimate cache.
+  /// Hierarchy/grid nodes a kernel estimated; nodes served from the estimate
+  /// cache are not counted (they are cache_hits). With the cache on this is
+  /// cache_misses; with it off, the `estimate.nodes` kernel counter's delta.
   uint64_t nodes_estimated = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;

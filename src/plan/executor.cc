@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
-#include <sstream>
 #include <unordered_map>
 
 #include "mech/consistency.h"
@@ -18,45 +16,12 @@ Counter* EstimateCalls() {
   static Counter* c = GlobalMetrics().counter("plan.estimate_calls");
   return c;
 }
-Counter* BatchQueries() {
-  static Counter* c = GlobalMetrics().counter("plan.batch_queries");
-  return c;
-}
-Counter* BatchDedupHits() {
-  static Counter* c = GlobalMetrics().counter("plan.batch_dedup_hits");
-  return c;
-}
 Counter* EstimateNodes() {
   static Counter* counter = GlobalMetrics().counter("estimate.nodes");
   return counter;
 }
 
-/// Dedup handle of one estimate op: the chosen mechanism, the weight key
-/// (component + expr + public constraints), the sensitive box, and the
-/// strategy-relevant consistency bit. Everything the estimate depends on
-/// besides the reports. The mechanism prefix keeps a multi-mechanism batch
-/// from sharing estimates across plans that chose different mechanisms; on
-/// single-mechanism engines it is a constant, so grouping is unchanged.
-std::string TaskKey(const PlanOp& op, const PhysicalPlan& plan) {
-  std::ostringstream key;
-  key << MechanismKindName(plan.mechanism) << "|"
-      << plan.ops[op.weight_op].weight_key << "|";
-  for (const Interval& r : plan.logical.terms[op.term].sensitive) {
-    key << r.lo << "-" << r.hi << ";";
-  }
-  if (op.kind == PlanOpKind::kConsistency) key << "|c";
-  return key.str();
-}
-
 }  // namespace
-
-struct PlanExecutor::RunState {
-  /// task key -> estimate; shared across the ops (and plans) of one call.
-  std::unordered_map<std::string, double> memo;
-  /// weight-vector id -> consistent tree (kConsistency strategy only).
-  std::unordered_map<uint64_t, std::shared_ptr<const ConsistentHio>> trees;
-  bool dedup = false;
-};
 
 PlanExecutor::PlanExecutor(const Table& table, const Mechanism& mechanism,
                            const ExecutionContext& exec)
@@ -66,28 +31,18 @@ PlanExecutor::PlanExecutor(const Table& table, const Mechanism& mechanism,
       exec_(exec),
       weights_(std::make_unique<WeightStore>(table)) {}
 
-Status PlanExecutor::AccumulateComponents(
-    const PhysicalPlan& plan, RunState* state, QueryProfile* profile,
-    double (&totals)[kNumComponentKinds]) const {
+Result<double> PlanExecutor::Run(const PhysicalPlan& plan,
+                                 QueryProfile* profile) const {
+  if (plan.logical.terms.empty()) return 0.0;  // unsatisfiable predicate
+  // weight-vector id -> consistent tree (kConsistency strategy only).
+  std::unordered_map<uint64_t, ConsistentHio> trees;
+  double totals[kNumComponentKinds] = {0.0, 0.0, 0.0};
   for (const PlanOp& op : plan.ops) {
     if (op.kind != PlanOpKind::kNodeEstimate &&
         op.kind != PlanOpKind::kConsistency) {
       continue;  // filters resolve lazily below; compose happens after
     }
     const LogicalTerm& term = plan.logical.terms[op.term];
-    std::string task_key;
-    if (state->dedup) {
-      task_key = TaskKey(op, plan);
-      auto it = state->memo.find(task_key);
-      if (it != state->memo.end()) {
-        // Bit-exact reuse: EstimateBox is deterministic post-processing, so
-        // the skipped call would have produced these very bits.
-        BatchDedupHits()->Increment();
-        totals[static_cast<int>(op.component)] +=
-            term.coefficient * it->second;
-        continue;
-      }
-    }
     TraceSpan fanout_span(profile, QueryProfile::kFanout);
     LDP_ASSIGN_OR_RETURN(
         auto weights,
@@ -97,8 +52,8 @@ Status PlanExecutor::AccumulateComponents(
     TraceSpan estimate_span(profile, QueryProfile::kEstimate);
     double estimate = 0.0;
     if (op.kind == PlanOpKind::kConsistency) {
-      auto tree_it = state->trees.find(weights->id());
-      if (tree_it == state->trees.end()) {
+      auto tree_it = trees.find(weights->id());
+      if (tree_it == trees.end()) {
         const auto* hio = dynamic_cast<const HioMechanism*>(&mechanism_);
         if (hio == nullptr) {
           return Status::Internal(
@@ -106,13 +61,10 @@ Status PlanExecutor::AccumulateComponents(
         }
         LDP_ASSIGN_OR_RETURN(ConsistentHio tree,
                              ConsistentHio::Build(*hio, *weights));
-        tree_it = state->trees
-                      .emplace(weights->id(), std::make_shared<const ConsistentHio>(
-                                                  std::move(tree)))
-                      .first;
+        tree_it = trees.emplace(weights->id(), std::move(tree)).first;
       }
       LDP_ASSIGN_OR_RETURN(estimate,
-                           tree_it->second->EstimateRange(term.sensitive[0]));
+                           tree_it->second.EstimateRange(term.sensitive[0]));
     } else if (multi_ != nullptr) {
       // Composite engine: dispatch to the mechanism this plan chose.
       LDP_ASSIGN_OR_RETURN(
@@ -125,14 +77,13 @@ Status PlanExecutor::AccumulateComponents(
     estimate_span.Stop();
     EstimateCalls()->Increment();
     if (profile != nullptr) ++profile->estimate_calls;
-    if (state->dedup) state->memo.emplace(std::move(task_key), estimate);
     totals[static_cast<int>(op.component)] += term.coefficient * estimate;
   }
   if (profile != nullptr) {
     profile->ie_terms +=
         plan.logical.components.size() * plan.logical.terms.size();
   }
-  return Status::OK();
+  return Compose(plan, totals);
 }
 
 double PlanExecutor::Compose(const PhysicalPlan& plan,
@@ -155,15 +106,6 @@ double PlanExecutor::Compose(const PhysicalPlan& plan,
     }
   }
   return 0.0;
-}
-
-Result<double> PlanExecutor::Run(const PhysicalPlan& plan,
-                                 QueryProfile* profile) const {
-  if (plan.logical.terms.empty()) return 0.0;  // unsatisfiable predicate
-  RunState state;
-  double totals[kNumComponentKinds] = {0.0, 0.0, 0.0};
-  LDP_RETURN_NOT_OK(AccumulateComponents(plan, &state, profile, totals));
-  return Compose(plan, totals);
 }
 
 Result<PlanExecutor::Bounded> PlanExecutor::RunWithBound(
@@ -199,102 +141,28 @@ Result<PlanExecutor::Bounded> PlanExecutor::RunWithBound(
   return out;
 }
 
-Status PlanExecutor::RunBatch(
-    std::span<const std::shared_ptr<const PhysicalPlan>> plans,
-    std::span<double> out, QueryProfile* profile,
-    std::vector<PlanObservation>* observations) const {
-  if (out.size() < plans.size()) {
-    return Status::InvalidArgument("RunBatch: output span too small");
-  }
-  BatchQueries()->Add(plans.size());
-  RunState state;
-  state.dedup = true;
-  if (observations != nullptr) {
-    observations->clear();
-    observations->reserve(plans.size());
-  }
-  for (size_t i = 0; i < plans.size(); ++i) {
-    const PhysicalPlan& plan = *plans[i];
-    // Per-plan attribution goes through a local profile so one plan's stage
-    // walls and calls can be measured inside the shared batch; the local is
-    // merged into the caller's profile afterwards, keeping the caller's
-    // totals identical to the unobserved path.
-    QueryProfile local;
-    QueryProfile* prof = observations != nullptr ? &local : profile;
-    std::optional<NodeTouchMeter> meter;
-    std::chrono::steady_clock::time_point start;
-    if (observations != nullptr) {
-      meter.emplace(mechanism_);
-      start = std::chrono::steady_clock::now();
-    }
-    if (plan.logical.terms.empty()) {
-      out[i] = 0.0;  // unsatisfiable predicate
-    } else {
-      double totals[kNumComponentKinds] = {0.0, 0.0, 0.0};
-      LDP_RETURN_NOT_OK(AccumulateComponents(plan, &state, prof, totals));
-      out[i] = Compose(plan, totals);
-    }
-    if (observations != nullptr) {
-      PlanObservation obs;
-      obs.wall_nanos = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count());
-      obs.fanout_nanos = local.stages[QueryProfile::kFanout].wall_nanos;
-      obs.estimate_nanos = local.stages[QueryProfile::kEstimate].wall_nanos;
-      obs.estimate_calls = local.estimate_calls;
-      obs.nodes_touched = meter->Touched();
-      observations->push_back(obs);
-      if (profile != nullptr) profile->Merge(local);
-    }
-  }
-  return Status::OK();
-}
+// --- ProfiledQueryScope ----------------------------------------------------
 
-// --- NodeTouchMeter --------------------------------------------------------
-
-NodeTouchMeter::NodeTouchMeter(const Mechanism& mechanism) {
+ProfiledQueryScope::ProfiledQueryScope(QueryProfile* profile,
+                                       const Mechanism& mechanism,
+                                       const ExecutionContext& exec)
+    : profile_(profile), exec_(exec) {
+  if (profile_ == nullptr) return;
   if (const EstimateCache* cache = mechanism.estimate_cache()) {
-    caches_.emplace_back(cache, cache->stats());
+    caches_.push_back(cache);
   } else if (const auto* multi =
                  dynamic_cast<const MultiMechanism*>(&mechanism)) {
     // The composite holds no cache of its own; its subs do (all or none).
     for (int i = 0; i < multi->num_sub_mechanisms(); ++i) {
       if (const EstimateCache* cache = multi->sub(i).estimate_cache()) {
-        caches_.emplace_back(cache, cache->stats());
+        caches_.push_back(cache);
       }
     }
   }
-  if (caches_.empty()) kernel_before_ = EstimateNodes()->value();
-}
-
-uint64_t NodeTouchMeter::Touched() const {
-  if (caches_.empty()) return EstimateNodes()->value() - kernel_before_;
-  uint64_t touched = 0;
-  for (const auto& [cache, before] : caches_) {
-    const EstimateCache::Stats now = cache->stats();
-    touched += (now.hits - before.hits) + (now.misses - before.misses);
-  }
-  return touched;
-}
-
-// --- ProfiledQueryScope ----------------------------------------------------
-
-ProfiledQueryScope::ProfiledQueryScope(QueryProfile* profile,
-                                       const Mechanism& mechanism,
-                                       const ExecutionContext& exec,
-                                       uint64_t num_queries)
-    : profile_(profile),
-      mechanism_(mechanism),
-      exec_(exec),
-      num_queries_(num_queries) {
-  if (profile_ == nullptr) return;
   start_ = std::chrono::steady_clock::now();
   stage_nanos_before_ = StageNanos();
   chunks_before_ = exec_.chunks_dispatched();
-  if (const EstimateCache* cache = mechanism_.estimate_cache()) {
-    cache_before_ = cache->stats();
-  }
+  cache_before_ = CacheStats();
   nodes_counter_before_ = EstimateNodes()->value();
 }
 
@@ -305,17 +173,17 @@ ProfiledQueryScope::~ProfiledQueryScope() {
           std::chrono::steady_clock::now() - start_)
           .count());
   profile_->total_nanos += total;
-  profile_->queries += num_queries_;
+  ++profile_->queries;
   // The aggregate stage is everything done outside the explicitly spanned
   // stages (component assembly, AVG/STDEV combination), so the stage walls
   // partition the query wall.
   const uint64_t staged = StageNanos() - stage_nanos_before_;
   profile_->stages[QueryProfile::kAggregate].wall_nanos +=
       total > staged ? total - staged : 0;
-  profile_->stages[QueryProfile::kAggregate].calls += num_queries_;
+  ++profile_->stages[QueryProfile::kAggregate].calls;
   profile_->exec_chunks += exec_.chunks_dispatched() - chunks_before_;
-  if (const EstimateCache* cache = mechanism_.estimate_cache()) {
-    const EstimateCache::Stats now = cache->stats();
+  if (!caches_.empty()) {
+    const EstimateCache::Stats now = CacheStats();
     profile_->cache_hits += now.hits - cache_before_.hits;
     profile_->cache_misses += now.misses - cache_before_.misses;
     profile_->cache_epoch_drops += now.epoch_drops - cache_before_.epoch_drops;
@@ -331,6 +199,17 @@ ProfiledQueryScope::~ProfiledQueryScope() {
         static_cast<uint64_t>(EstimateNodes()->value()) -
         nodes_counter_before_;
   }
+}
+
+EstimateCache::Stats ProfiledQueryScope::CacheStats() const {
+  EstimateCache::Stats sum;
+  for (const EstimateCache* cache : caches_) {
+    const EstimateCache::Stats stats = cache->stats();
+    sum.hits += stats.hits;
+    sum.misses += stats.misses;
+    sum.epoch_drops += stats.epoch_drops;
+  }
+  return sum;
 }
 
 uint64_t ProfiledQueryScope::StageNanos() const {

@@ -110,7 +110,7 @@ struct PhysicalPlan {
   MechanismAdvice advice;
   double predicted_variance = 0.0;
   /// Sum of per-op predicted node counts — the planner's cost proxy for the
-  /// estimate fan-out (what the batch dedup reduces).
+  /// estimate fan-out.
   uint64_t predicted_node_estimates = 0;
   /// Signed inclusion–exclusion volume fraction of the predicate (exact
   /// union volume of the boxes, as a fraction of the sensitive domain).
@@ -124,11 +124,6 @@ struct PhysicalPlan {
   /// Checksum of the canonical plan text (epoch excluded): two structurally
   /// identical plans have the same fingerprint across runs and processes.
   uint64_t fingerprint = 0;
-  /// Checksum of the engine configuration the plan was built under
-  /// (registered mechanism set, params, planner options). The plan cache
-  /// hard-drops entries whose config fingerprint differs — a cached plan is
-  /// never served after the candidate set changed. 0 = unconstrained.
-  uint64_t config_fingerprint = 0;
   /// Per-candidate cost-model scores behind the mechanism choice, in
   /// candidate-registration order. Empty for single-mechanism planners (the
   /// choice is forced), so single-mechanism EXPLAIN output is unchanged.

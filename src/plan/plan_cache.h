@@ -32,41 +32,32 @@ namespace ldp {
 /// execution depends only on (plan, reports, weights) — the executor replays
 /// the same op list whether the plan came from the planner or the cache.
 ///
-/// Configuration changes invalidate the same way: each plan records the
-/// engine-configuration fingerprint (registered mechanism set, params,
-/// planner options) it was built under, and a Get whose config_fingerprint
-/// differs hard-drops the entry (counted in config_drops) — a cached plan is
-/// never served after the planner's candidate set changed, even at the same
-/// epoch.
+/// Each cache is private to one engine, whose configuration is fixed at
+/// Create(), so the epoch is the only invalidation a plan needs.
 ///
 /// Thread-safe behind one mutex; GlobalMetrics mirrors live under
-/// `plan_cache.*` (hits, misses, insertions, evictions, epoch_drops,
-/// config_drops).
+/// `plan_cache.*` (hits, misses, insertions, evictions, epoch_drops).
 class PlanCache {
  public:
   explicit PlanCache(size_t max_entries);
 
-  /// The cached plan for `key` at exactly `epoch` under exactly
-  /// `config_fingerprint`, or null. An entry at any other epoch or config is
-  /// erased and counted as a miss plus an epoch_drop/config_drop.
-  /// `config_fingerprint` 0 matches plans built with the default (0) stamp.
+  /// The cached plan for `key` at exactly `epoch`, or null. An entry at any
+  /// other epoch is erased and counted as a miss plus an epoch_drop.
   std::shared_ptr<const PhysicalPlan> Get(const std::string& key,
-                                          uint64_t epoch,
-                                          uint64_t config_fingerprint = 0);
+                                          uint64_t epoch);
 
   /// Inserts or refreshes the plan under `key` (the plan carries its own
   /// epoch), evicting the least-recently-used entry when over budget.
   void Put(const std::string& key, std::shared_ptr<const PhysicalPlan> plan);
 
   /// SQL side index: the cached plan for a SQL string previously linked with
-  /// LinkSql, subject to the same epoch/config checks. Null on any miss.
+  /// LinkSql, subject to the same epoch check. Null on any miss.
   std::shared_ptr<const PhysicalPlan> GetSql(const std::string& sql,
-                                             uint64_t epoch,
-                                             uint64_t config_fingerprint = 0);
+                                             uint64_t epoch);
   /// Links `sql` to the cached entry under `key`. A no-op when `key` is not
   /// (or no longer) cached — a dangling mapping could never hit, and the
   /// next ExecuteSql re-links after re-planning. Mappings live and die with
-  /// their entry: eviction and epoch/config drops prune them (no crude
+  /// their entry: eviction and epoch drops prune them (no crude
   /// whole-index reset wiping live mappings), and each entry keeps at most
   /// kMaxSqlAliases spellings, oldest dropped first.
   void LinkSql(const std::string& sql, const std::string& key);
@@ -82,9 +73,6 @@ class PlanCache {
     uint64_t evictions = 0;
     /// Misses caused by an epoch mismatch. Always <= misses.
     uint64_t epoch_drops = 0;
-    /// Misses caused by a configuration-fingerprint mismatch (the engine's
-    /// registered-mechanism set or options changed). Always <= misses.
-    uint64_t config_drops = 0;
   };
   Stats stats() const;
 
@@ -120,7 +108,6 @@ class PlanCache {
   Counter* m_insertions_;
   Counter* m_evictions_;
   Counter* m_epoch_drops_;
-  Counter* m_config_drops_;
 };
 
 }  // namespace ldp

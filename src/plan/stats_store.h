@@ -32,8 +32,6 @@ PlanIdentity PlanIdentityOf(const PhysicalPlan& plan);
 /// cache on/off, and SIMD levels), so EXPLAIN's actuals for them are too.
 struct PlanObservation {
   uint64_t wall_nanos = 0;
-  uint64_t fanout_nanos = 0;
-  uint64_t estimate_nanos = 0;
   uint64_t estimate_calls = 0;
   /// Hierarchy/grid nodes the execution touched: kernel-estimated nodes plus
   /// nodes served from the estimate cache (hits + misses when the cache is
@@ -46,15 +44,13 @@ struct PlanStats {
   PlanIdentity id;
   uint64_t observations = 0;
   double ewma_wall_nanos = 0.0;
-  double ewma_fanout_nanos = 0.0;
-  double ewma_estimate_nanos = 0.0;
   double ewma_estimate_calls = 0.0;
   double ewma_nodes = 0.0;
 };
 
 /// Bounded, thread-safe, record-only log of measured plan actuals.
-/// AnalyticsEngine records one PlanObservation per Execute/ExecuteBatch plan
-/// execution when EngineOptions::enable_feedback is on; EXPLAIN renders
+/// AnalyticsEngine records one PlanObservation per Execute (each ExecuteBatch
+/// query included) when EngineOptions::enable_feedback is on; EXPLAIN renders
 /// predicted-vs-actual from the entries and ComparePlanStats diffs two
 /// stores for plan-regression replay. Nothing reads the store back into
 /// planning: the mechanism choice stays with the analytic cost model.

@@ -286,23 +286,16 @@ TEST(MechanismSelectionTest, ChoiceCountersTrackPlannerDecisions) {
   EXPECT_EQ(hio->value(), hio_before + 1);
 }
 
-TEST(MechanismSelectionTest, ConfigFingerprintSeparatesMechanismSets) {
+TEST(MechanismSelectionTest, SingleMechanismPlansCarryNoCandidates) {
   const Table table = WideDomainTable(500);
-  const auto hio_only = MakeMultiEngine(table, {MechanismKind::kHio});
   const auto hio_mg =
       MakeMultiEngine(table, {MechanismKind::kHio, MechanismKind::kMg});
-  const auto hio_hdg =
-      MakeMultiEngine(table, {MechanismKind::kHio, MechanismKind::kHdg});
-  EXPECT_NE(hio_only->config_fingerprint(), hio_mg->config_fingerprint());
-  EXPECT_NE(hio_mg->config_fingerprint(), hio_hdg->config_fingerprint());
-
   // A single-entry mechanisms list is the classic single-mechanism engine.
   EngineOptions classic;
   classic.mechanism = MechanismKind::kHio;
   classic.params.epsilon = 2.0;
   classic.params.hash_pool_size = 256;
   const auto single = AnalyticsEngine::Create(table, classic).ValueOrDie();
-  EXPECT_EQ(single->config_fingerprint(), hio_only->config_fingerprint());
   // Single-mechanism plans carry no candidate scores (forced choice).
   const Query q =
       ParseQuery(table.schema(), "SELECT COUNT(*) FROM T WHERE a <= 5")

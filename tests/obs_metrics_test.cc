@@ -332,6 +332,29 @@ TEST(EngineProfileTest, ExecuteSqlFillsTheProfile) {
   EXPECT_EQ(second.cache_misses, 0u);
 }
 
+TEST(EngineProfileTest, CompositeEngineCountsSubMechanismCacheTraffic) {
+  // A MultiMechanism holds no estimate cache of its own; its subs do. The
+  // profile's cache counters must see their traffic.
+  EngineOptions options;
+  options.mechanisms = {MechanismKind::kHio, MechanismKind::kMg};
+  options.params.epsilon = 2.0;
+  options.params.hash_pool_size = 256;
+  options.seed = 7;
+  const auto engine = AnalyticsEngine::Create(ProfTable(), options).ValueOrDie();
+  const char* sql =
+      "SELECT COUNT(*) FROM T WHERE age BETWEEN 2 AND 9 AND sex = 1";
+
+  QueryProfile first;
+  ASSERT_TRUE(engine->ExecuteSql(sql, &first).ok());
+  EXPECT_GT(first.cache_misses, 0u);
+  EXPECT_EQ(first.nodes_estimated, first.cache_misses);
+
+  QueryProfile second;
+  ASSERT_TRUE(engine->ExecuteSql(sql, &second).ok());
+  EXPECT_GT(second.cache_hits, 0u);
+  EXPECT_EQ(second.cache_misses, 0u);
+}
+
 TEST(EngineProfileTest, ProfileAccumulatesAcrossQueries) {
   EngineOptions options;
   options.mechanism = MechanismKind::kHio;

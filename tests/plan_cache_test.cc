@@ -15,11 +15,9 @@
 namespace ldp {
 namespace {
 
-std::shared_ptr<const PhysicalPlan> MakePlan(uint64_t epoch,
-                                             uint64_t config_fingerprint = 0) {
+std::shared_ptr<const PhysicalPlan> MakePlan(uint64_t epoch) {
   auto plan = std::make_shared<PhysicalPlan>();
   plan->epoch = epoch;
-  plan->config_fingerprint = config_fingerprint;
   return plan;
 }
 
@@ -94,29 +92,6 @@ TEST(PlanCacheTest, SqlIndexSkipsNothingWhenUnlinked) {
   ASSERT_NE(plan, nullptr);
   EXPECT_EQ(cache.GetSql("SELECT 1", 2), nullptr);  // epoch drop via GetSql
   EXPECT_EQ(cache.stats().epoch_drops, 1u);
-}
-
-TEST(PlanCacheTest, ConfigFingerprintMismatchHardDropsEntry) {
-  // The candidate set (or any planner-visible option) changed: a plan built
-  // under the old configuration must never be served, even at the same epoch.
-  PlanCache cache(4);
-  cache.Put("q1", MakePlan(10, /*config_fingerprint=*/111));
-  EXPECT_EQ(cache.Get("q1", 10, /*config_fingerprint=*/222), nullptr);
-  auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.config_drops, 1u);
-  EXPECT_EQ(stats.epoch_drops, 0u);
-  EXPECT_EQ(cache.size(), 0u);
-  // The drop is permanent, like an epoch drop.
-  EXPECT_EQ(cache.Get("q1", 10, 111), nullptr);
-
-  // Matching fingerprints serve normally, including through the SQL index.
-  cache.Put("q2", MakePlan(10, 111));
-  ASSERT_NE(cache.Get("q2", 10, 111), nullptr);
-  cache.LinkSql("SELECT 2", "q2");
-  ASSERT_NE(cache.GetSql("SELECT 2", 10, 111), nullptr);
-  EXPECT_EQ(cache.GetSql("SELECT 2", 10, 333), nullptr);
-  EXPECT_EQ(cache.stats().config_drops, 2u);
 }
 
 TEST(PlanCacheTest, EvictionPrunesTheSqlIndex) {
@@ -244,28 +219,6 @@ TEST(EnginePlanCacheTest, ExecuteThenBoundRewritesExactlyOnce) {
   const auto bounded = engine->ExecuteWithBound(query).ValueOrDie();
   EXPECT_EQ(bounded.estimate, estimate);
   EXPECT_EQ(rewrites->value() - before, 1u);
-}
-
-TEST(EnginePlanCacheTest, PlansCarryTheEngineConfigFingerprint) {
-  // Every plan the engine builds is stamped with the engine's configuration
-  // fingerprint, so a cache probe under any other configuration hard-drops.
-  const Table table = MakeIpums4D(4000, 54, 7);
-  const auto engine = MakeEngine(table);
-  const Query query =
-      ParseQuery(table.schema(),
-                 "SELECT COUNT(*) FROM T WHERE age BETWEEN 10 AND 30")
-          .ValueOrDie();
-  const auto plan = engine->PlanFor(query).ValueOrDie();
-  EXPECT_NE(engine->config_fingerprint(), 0u);
-  EXPECT_EQ(plan->config_fingerprint, engine->config_fingerprint());
-  // Simulate a configuration change probing the same cache entry.
-  const std::string key = QueryCacheKey(table.schema(), query);
-  EXPECT_EQ(engine->plan_cache()->Get(key, plan->epoch,
-                                      engine->config_fingerprint() + 1),
-            nullptr);
-  EXPECT_EQ(engine->plan_cache()->stats().config_drops, 1u);
-  // The probe dropped the entry; the engine transparently replans.
-  EXPECT_TRUE(engine->Execute(query).ok());
 }
 
 TEST(EnginePlanCacheTest, DisabledCacheStillAnswersIdentically) {

@@ -14,7 +14,6 @@
 
 #include "data/generator.h"
 #include "engine/engine.h"
-#include "obs/metrics.h"
 #include "query/rewriter.h"
 
 namespace ldp {
@@ -265,54 +264,52 @@ TEST_P(PlanEquivalenceTest, BoundedEstimateMatchesExecute) {
   }
 }
 
-// A batch with repeated and overlapping templated queries must answer every
-// instance exactly like sequential execution while issuing strictly fewer
-// mechanism estimate calls (the dedup acceptance criterion lives in
-// BENCH_plan.json; here we assert the counter moved in the right direction).
-TEST(PlanBatchTest, DedupSharesEstimatesBitIdentically) {
-  const Table& table = TableFor(MechanismKind::kHio);
-  EngineOptions options;
-  options.mechanism = MechanismKind::kHio;
-  options.params.epsilon = 2.0;
-  options.seed = 7;
-  const auto engine = AnalyticsEngine::Create(table, options).ValueOrDie();
-
-  std::vector<Query> queries;
+// The opt-in consistency strategy builds a consistent HIO tree per weight
+// vector inside each query's execution. A batch must answer every query,
+// repeats included, exactly like sequential Execute, for every thread count
+// and cache setting.
+TEST(PlanBatchTest, ConsistencyBatchMatchesSequentialBitwise) {
+  const Table table = OneDimTable();  // one sensitive ordinal dim
   const char* templates[] = {
-      "SELECT COUNT(*) FROM T WHERE a BETWEEN 2 AND 9",
-      "SELECT SUM(m) FROM T WHERE a BETWEEN 2 AND 9",
-      "SELECT AVG(m) FROM T WHERE a BETWEEN 2 AND 9",
-      "SELECT COUNT(*) FROM T WHERE b BETWEEN 1 AND 6",
+      "SELECT COUNT(*) FROM T WHERE a BETWEEN 3 AND 20",
+      "SELECT SUM(m) FROM T WHERE a BETWEEN 3 AND 20",
+      "SELECT AVG(m) FROM T WHERE (a <= 5 OR a >= 25) AND p = 1",
+      "SELECT STDEV(m) FROM T WHERE a BETWEEN 8 AND 15",
   };
-  for (int rep = 0; rep < 4; ++rep) {
+  std::vector<Query> queries;
+  for (int rep = 0; rep < 3; ++rep) {
     for (const char* sql : templates) {
       queries.push_back(ParseQuery(table.schema(), sql).ValueOrDie());
     }
   }
 
-  std::vector<double> sequential;
-  for (const Query& q : queries) {
-    sequential.push_back(engine->Execute(q).ValueOrDie());
+  for (const int threads : {1, 4}) {
+    for (const bool cache_on : {true, false}) {
+      EngineOptions options;
+      options.mechanism = MechanismKind::kHio;
+      options.params.epsilon = 2.0;
+      options.seed = 11;
+      options.num_threads = threads;
+      options.enable_estimate_cache = cache_on;
+      options.enable_plan_cache = cache_on;
+      options.planner_consistency = true;
+      const auto engine = AnalyticsEngine::Create(table, options).ValueOrDie();
+      ASSERT_EQ(engine->PlanFor(queries[0]).ValueOrDie()->strategy,
+                PlanStrategy::kConsistentTree);
+
+      std::vector<double> sequential;
+      for (const Query& q : queries) {
+        sequential.push_back(engine->Execute(q).ValueOrDie());
+      }
+      std::vector<double> batched(queries.size(), 0.0);
+      ASSERT_TRUE(engine->ExecuteBatch(queries, batched).ok());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        EXPECT_EQ(batched[i], sequential[i])
+            << "threads=" << threads << " cache=" << cache_on
+            << " batch index " << i;
+      }
+    }
   }
-
-  Counter* calls = GlobalMetrics().counter("plan.estimate_calls");
-  Counter* dedup = GlobalMetrics().counter("plan.batch_dedup_hits");
-  const uint64_t calls_before = calls->value();
-  const uint64_t dedup_before = dedup->value();
-
-  std::vector<double> batched(queries.size(), 0.0);
-  ASSERT_TRUE(engine->ExecuteBatch(queries, batched).ok());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(batched[i], sequential[i]) << "batch index " << i;
-  }
-
-  const uint64_t issued = calls->value() - calls_before;
-  const uint64_t saved = dedup->value() - dedup_before;
-  // 16 queries carry 20 (component, box) tasks, but only 3 are distinct:
-  // COUNT/a, SUM/a, COUNT/b — AVG decomposes into SUM/a + COUNT/a, both
-  // already seen.
-  EXPECT_EQ(issued, 3u);
-  EXPECT_GT(saved, issued);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -103,8 +103,6 @@ PlanIdentity Identity(uint64_t fingerprint, MechanismKind mechanism) {
 PlanObservation Obs(uint64_t wall, uint64_t nodes, uint64_t calls = 1) {
   PlanObservation obs;
   obs.wall_nanos = wall;
-  obs.fanout_nanos = wall / 4;
-  obs.estimate_nanos = wall / 2;
   obs.estimate_calls = calls;
   obs.nodes_touched = nodes;
   return obs;
