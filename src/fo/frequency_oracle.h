@@ -1,10 +1,15 @@
 #ifndef LDPMDA_FO_FREQUENCY_ORACLE_H_
 #define LDPMDA_FO_FREQUENCY_ORACLE_H_
 
+#include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/random.h"
@@ -142,6 +147,76 @@ class FoAccumulator {
 
   /// Sum of w over users in this group (exact; weights are public).
   virtual double GroupWeight(const WeightVector& w) const = 0;
+};
+
+/// The lazy per-weight-set cache an accumulator keeps of structures derived
+/// from its reports (OLH per-seed histograms, GRR value histograms, HR
+/// spectra). Keyed by WeightVector id, bounded to kCapacity entries with
+/// FIFO eviction (the deque keeps eviction O(1)). Each entry records the
+/// report count it was built at; reports are append-only, so a mismatch with
+/// the live count marks it stale and it is rebuilt at lookup time — Add and
+/// Merge never touch the cache. Lookups and builds are mutex-guarded and
+/// entries are handed out as shared_ptr, so concurrent estimation fan-out
+/// shares one build. Counts into the `fo_cache.*` metrics.
+template <typename Entry>
+class WeightSetCache {
+ public:
+  static constexpr size_t kCapacity = 8;
+
+  /// The entry for `w` built at `reports` reports; on a miss or a stale hit,
+  /// `build()` (returning an Entry) computes it. The build runs under the
+  /// lock so concurrent estimation tasks share one build, not one each.
+  template <typename Build>
+  std::shared_ptr<const Entry> GetOrBuild(const WeightVector& w,
+                                          uint64_t reports,
+                                          Build&& build) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = slots_.find(w.id());
+    if (it != slots_.end()) {
+      if (it->second.built_reports == reports) {
+        FoCacheMetrics().hits->Add(1);
+        return it->second.entry;
+      }
+      // Built before the latest Add/Merge: discard and rebuild below.
+      slots_.erase(it);
+      std::erase(order_, w.id());
+      FoCacheMetrics().stale_rebuilds->Add(1);
+    }
+    if (slots_.size() >= kCapacity) {
+      slots_.erase(order_.front());
+      order_.pop_front();
+      FoCacheMetrics().evictions->Add(1);
+    }
+    FoCacheMetrics().builds->Add(1);
+    const auto build_start = std::chrono::steady_clock::now();
+    auto entry = std::make_shared<const Entry>(build());
+    FoCacheMetrics().build_ns->Record(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - build_start)
+            .count());
+    slots_.emplace(w.id(), Slot{entry, reports});
+    order_.push_back(w.id());
+    return entry;
+  }
+
+  /// Whether an entry for `weight_id` is cached — stale or not, or, when
+  /// `reports` is given, built at exactly that report count.
+  bool Contains(uint64_t weight_id,
+                std::optional<uint64_t> reports = std::nullopt) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = slots_.find(weight_id);
+    return it != slots_.end() &&
+           (!reports || it->second.built_reports == *reports);
+  }
+
+ private:
+  struct Slot {
+    std::shared_ptr<const Entry> entry;
+    uint64_t built_reports = 0;
+  };
+  mutable std::mutex mu_;
+  mutable std::unordered_map<uint64_t, Slot> slots_;
+  mutable std::deque<uint64_t> order_;
 };
 
 /// A configured LDP frequency-oracle protocol: client-side `Encode` plus a

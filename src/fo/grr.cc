@@ -1,7 +1,6 @@
 #include "fo/grr.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "common/logging.h"
@@ -10,7 +9,6 @@
 namespace ldp {
 
 namespace {
-constexpr int kMaxCachedWeightSets = 8;
 /// Raw equality scans beat a histogram build only for small value batches
 /// (the scan costs O(n * V / lanes) vs the build's O(n) map inserts), so cap
 /// the batch size the raw path accepts. Also the raw theta stack buffer.
@@ -47,8 +45,8 @@ GrrAccumulator::GrrAccumulator(const GrrProtocol& protocol)
     : protocol_(protocol) {}
 
 void GrrAccumulator::Add(const FoReport& report, uint64_t user) {
-  // Cached histograms go stale implicitly: they record the report count at
-  // build time and are discarded lazily inside GetOrBuildHistogram.
+  // Cached histograms go stale implicitly: the cache records the report
+  // count each was built at and rebuilds it at the next lookup.
   values_.push_back(report.value);
   users_.push_back(user);
 }
@@ -66,51 +64,25 @@ Status GrrAccumulator::Merge(FoAccumulator&& other) {
   users_.insert(users_.end(), shard->users_.begin(), shard->users_.end());
   shard->values_.clear();
   shard->users_.clear();
-  // Stale histograms are detected lazily via built_reports; nothing to do.
+  // Stale histograms are detected lazily by the cache; nothing to do.
   return Status::OK();
 }
 
 bool GrrAccumulator::HasCachedWeightSet(uint64_t weight_id) const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return hist_cache_.find(weight_id) != hist_cache_.end();
+  return hist_cache_.Contains(weight_id);
 }
 
 std::shared_ptr<const GrrAccumulator::WeightedHistogram>
 GrrAccumulator::GetOrBuildHistogram(const WeightVector& w) const {
-  const uint64_t current_reports = values_.size();
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = hist_cache_.find(w.id());
-  if (it != hist_cache_.end()) {
-    if (it->second->built_reports == current_reports) {
-      FoCacheMetrics().hits->Add(1);
-      return it->second;
+  return hist_cache_.GetOrBuild(w, num_reports(), [&] {
+    WeightedHistogram h;
+    for (size_t i = 0; i < values_.size(); ++i) {
+      const double weight = w[users_[i]];
+      h.by_value[values_[i]] += weight;
+      h.group_weight += weight;
     }
-    // Built before the latest Add/Merge: discard and rebuild below.
-    hist_cache_.erase(it);
-    std::erase(hist_order_, w.id());
-    FoCacheMetrics().stale_rebuilds->Add(1);
-  }
-  if (static_cast<int>(hist_cache_.size()) >= kMaxCachedWeightSets) {
-    hist_cache_.erase(hist_order_.front());
-    hist_order_.pop_front();
-    FoCacheMetrics().evictions->Add(1);
-  }
-  FoCacheMetrics().builds->Add(1);
-  const auto build_start = std::chrono::steady_clock::now();
-  auto h = std::make_shared<WeightedHistogram>();
-  for (size_t i = 0; i < values_.size(); ++i) {
-    const double weight = w[users_[i]];
-    h->by_value[values_[i]] += weight;
-    h->group_weight += weight;
-  }
-  h->built_reports = current_reports;
-  FoCacheMetrics().build_ns->Record(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - build_start)
-          .count());
-  hist_cache_.emplace(w.id(), h);
-  hist_order_.push_back(w.id());
-  return h;
+    return h;
+  });
 }
 
 double GrrAccumulator::EstimateWeighted(uint64_t value,
@@ -125,13 +97,10 @@ double GrrAccumulator::EstimateWeighted(uint64_t value,
 bool GrrAccumulator::ShouldUseRawScan(const WeightVector& w,
                                       size_t num_values) const {
   if (num_values > kGrrRawMaxValues) return false;
-  const uint64_t current_reports = values_.size();
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  const auto it = hist_cache_.find(w.id());
-  if (it != hist_cache_.end() &&
-      it->second->built_reports == current_reports) {
+  if (hist_cache_.Contains(w.id(), num_reports())) {
     return false;  // a fresh histogram is already paid for: probe it in O(V)
   }
+  std::lock_guard<std::mutex> lock(raw_probed_mu_);
   if (std::find(raw_probed_.begin(), raw_probed_.end(), w.id()) !=
       raw_probed_.end()) {
     return false;  // second visit: promote to a histogram build

@@ -66,8 +66,6 @@ class GrrAccumulator : public FoAccumulator {
   struct WeightedHistogram {
     std::unordered_map<uint32_t, double> by_value;
     double group_weight = 0.0;
-    /// Report count at build time; a mismatch marks the entry stale.
-    uint64_t built_reports = 0;
   };
   std::shared_ptr<const WeightedHistogram> GetOrBuildHistogram(
       const WeightVector& w) const;
@@ -85,13 +83,10 @@ class GrrAccumulator : public FoAccumulator {
   const GrrProtocol& protocol_;
   std::vector<uint32_t> values_;
   std::vector<uint64_t> users_;
-  mutable std::mutex cache_mu_;
-  mutable std::unordered_map<uint64_t,
-                             std::shared_ptr<const WeightedHistogram>>
-      hist_cache_;
-  mutable std::deque<uint64_t> hist_order_;
+  WeightSetCache<WeightedHistogram> hist_cache_;
   /// Weight-set ids whose first batched estimate went through the raw scan;
-  /// bounded FIFO, guarded by cache_mu_.
+  /// bounded FIFO, guarded by raw_probed_mu_.
+  mutable std::mutex raw_probed_mu_;
   mutable std::deque<uint64_t> raw_probed_;
 };
 

@@ -1,7 +1,6 @@
 #include "fo/hadamard.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <unordered_map>
 
@@ -9,10 +8,6 @@
 #include "fo/simd/simd.h"
 
 namespace ldp {
-
-namespace {
-constexpr int kMaxCachedWeightSets = 8;
-}  // namespace
 
 HadamardProtocol::HadamardProtocol(double epsilon, uint64_t domain_size)
     : epsilon_(epsilon), domain_size_(domain_size) {
@@ -46,8 +41,8 @@ HadamardAccumulator::HadamardAccumulator(const HadamardProtocol& protocol)
     : protocol_(protocol) {}
 
 void HadamardAccumulator::Add(const FoReport& report, uint64_t user) {
-  // Cached spectra go stale implicitly: they record the report count at
-  // build time and are discarded lazily inside GetOrBuildSpectrum.
+  // Cached spectra go stale implicitly: the cache records the report count
+  // each was built at and rebuilds it at the next lookup.
   indices_.push_back(report.seed);
   signs_.push_back(report.value != 0 ? 1 : -1);
   users_.push_back(user);
@@ -69,58 +64,32 @@ Status HadamardAccumulator::Merge(FoAccumulator&& other) {
   shard->indices_.clear();
   shard->signs_.clear();
   shard->users_.clear();
-  // Stale spectra are detected lazily via built_reports; nothing to do.
+  // Stale spectra are detected lazily by the cache; nothing to do.
   return Status::OK();
 }
 
 bool HadamardAccumulator::HasCachedWeightSet(uint64_t weight_id) const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return cache_.find(weight_id) != cache_.end();
+  return cache_.Contains(weight_id);
 }
 
 std::shared_ptr<const HadamardAccumulator::Spectrum>
 HadamardAccumulator::GetOrBuildSpectrum(const WeightVector& w) const {
-  const uint64_t current_reports = indices_.size();
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = cache_.find(w.id());
-  if (it != cache_.end()) {
-    if (it->second->built_reports == current_reports) {
-      FoCacheMetrics().hits->Add(1);
-      return it->second;
+  return cache_.GetOrBuild(w, num_reports(), [&] {
+    Spectrum s;
+    std::unordered_map<uint64_t, double> signed_sum;
+    for (size_t i = 0; i < indices_.size(); ++i) {
+      const double weight = w[users_[i]];
+      signed_sum[indices_[i]] += weight * signs_[i];
+      s.group_weight += weight;
     }
-    // Built before the latest Add/Merge: discard and rebuild below.
-    cache_.erase(it);
-    std::erase(cache_order_, w.id());
-    FoCacheMetrics().stale_rebuilds->Add(1);
-  }
-  if (static_cast<int>(cache_.size()) >= kMaxCachedWeightSets) {
-    cache_.erase(cache_order_.front());
-    cache_order_.pop_front();
-    FoCacheMetrics().evictions->Add(1);
-  }
-  FoCacheMetrics().builds->Add(1);
-  const auto build_start = std::chrono::steady_clock::now();
-  auto s = std::make_shared<Spectrum>();
-  std::unordered_map<uint64_t, double> signed_sum;
-  for (size_t i = 0; i < indices_.size(); ++i) {
-    const double weight = w[users_[i]];
-    signed_sum[indices_[i]] += weight * signs_[i];
-    s->group_weight += weight;
-  }
-  s->indices.reserve(signed_sum.size());
-  s->sums.reserve(signed_sum.size());
-  for (const auto& [j, sum] : signed_sum) {
-    s->indices.push_back(j);
-    s->sums.push_back(sum);
-  }
-  s->built_reports = current_reports;
-  FoCacheMetrics().build_ns->Record(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - build_start)
-          .count());
-  cache_.emplace(w.id(), s);
-  cache_order_.push_back(w.id());
-  return s;
+    s.indices.reserve(signed_sum.size());
+    s.sums.reserve(signed_sum.size());
+    for (const auto& [j, sum] : signed_sum) {
+      s.indices.push_back(j);
+      s.sums.push_back(sum);
+    }
+    return s;
+  });
 }
 
 double HadamardAccumulator::EstimateWeighted(uint64_t value,

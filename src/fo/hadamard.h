@@ -2,10 +2,7 @@
 #define LDPMDA_FO_HADAMARD_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "fo/frequency_oracle.h"
@@ -87,8 +84,6 @@ class HadamardAccumulator : public FoAccumulator {
     std::vector<uint64_t> indices;
     std::vector<double> sums;
     double group_weight = 0.0;
-    /// Report count at build time; a mismatch marks the entry stale.
-    uint64_t built_reports = 0;
   };
   std::shared_ptr<const Spectrum> GetOrBuildSpectrum(
       const WeightVector& w) const;
@@ -97,9 +92,7 @@ class HadamardAccumulator : public FoAccumulator {
   std::vector<uint64_t> indices_;
   std::vector<int8_t> signs_;
   std::vector<uint64_t> users_;
-  mutable std::mutex cache_mu_;
-  mutable std::unordered_map<uint64_t, std::shared_ptr<const Spectrum>> cache_;
-  mutable std::deque<uint64_t> cache_order_;
+  WeightSetCache<Spectrum> cache_;
 };
 
 }  // namespace ldp

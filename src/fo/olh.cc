@@ -1,7 +1,6 @@
 #include "fo/olh.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "common/logging.h"
@@ -14,7 +13,6 @@ namespace {
 /// Use histograms only when the group is big enough that the O(pool) scan
 /// beats the O(#reports) scan, and the histogram itself is not outlandish.
 constexpr uint64_t kMaxHistogramCells = 1ull << 24;
-constexpr int kMaxCachedWeightSets = 8;
 /// Value-tile width for the batched kernels: small enough that the per-tile
 /// theta accumulators stay in L1, large enough to amortize one report load
 /// over many hash evaluations.
@@ -56,9 +54,8 @@ OlhAccumulator::OlhAccumulator(const OlhProtocol& protocol)
 
 void OlhAccumulator::Add(const FoReport& report, uint64_t user) {
   LDP_DCHECK(report.value < protocol_.g());
-  // No cache maintenance here: cached histograms record the report count at
-  // build time, so growing the report vectors implicitly marks them stale
-  // and GetOrBuildHistogram discards them at next lookup.
+  // No cache maintenance here: the histogram cache records the report count
+  // each entry was built at, so growing the report vectors marks them stale.
   seeds_.push_back(report.seed);
   ys_.push_back(report.value);
   users_.push_back(user);
@@ -79,7 +76,7 @@ Status OlhAccumulator::Merge(FoAccumulator&& other) {
   shard->seeds_.clear();
   shard->ys_.clear();
   shard->users_.clear();
-  // Stale histograms are detected lazily via built_reports; nothing to do.
+  // Stale histograms are detected lazily by the cache; nothing to do.
   return Status::OK();
 }
 
@@ -95,49 +92,22 @@ bool OlhAccumulator::UsesHistograms() const {
 }
 
 bool OlhAccumulator::HasCachedWeightSet(uint64_t weight_id) const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return hist_cache_.find(weight_id) != hist_cache_.end();
+  return hist_cache_.Contains(weight_id);
 }
 
 std::shared_ptr<const OlhAccumulator::WeightedHistogram>
 OlhAccumulator::GetOrBuildHistogram(const WeightVector& w) const {
-  const uint64_t current_reports = seeds_.size();
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = hist_cache_.find(w.id());
-  if (it != hist_cache_.end()) {
-    if (it->second->built_reports == current_reports) {
-      FoCacheMetrics().hits->Add(1);
-      return it->second;
+  return hist_cache_.GetOrBuild(w, num_reports(), [&] {
+    WeightedHistogram h;
+    const uint32_t g = protocol_.g();
+    h.hist.assign(static_cast<size_t>(protocol_.hash_pool_size()) * g, 0.0);
+    for (size_t i = 0; i < seeds_.size(); ++i) {
+      const double weight = w[users_[i]];
+      h.hist[static_cast<size_t>(seeds_[i]) * g + ys_[i]] += weight;
+      h.group_weight += weight;
     }
-    // Built before the latest Add/Merge: discard and rebuild below.
-    hist_cache_.erase(it);
-    std::erase(hist_order_, w.id());
-    FoCacheMetrics().stale_rebuilds->Add(1);
-  }
-  if (static_cast<int>(hist_cache_.size()) >= kMaxCachedWeightSets) {
-    hist_cache_.erase(hist_order_.front());
-    hist_order_.pop_front();
-    FoCacheMetrics().evictions->Add(1);
-  }
-  FoCacheMetrics().builds->Add(1);
-  const auto build_start = std::chrono::steady_clock::now();
-  auto h = std::make_shared<WeightedHistogram>();
-  const uint32_t pool = protocol_.hash_pool_size();
-  const uint32_t g = protocol_.g();
-  h->hist.assign(static_cast<size_t>(pool) * g, 0.0);
-  for (size_t i = 0; i < seeds_.size(); ++i) {
-    const double weight = w[users_[i]];
-    h->hist[static_cast<size_t>(seeds_[i]) * g + ys_[i]] += weight;
-    h->group_weight += weight;
-  }
-  h->built_reports = current_reports;
-  FoCacheMetrics().build_ns->Record(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - build_start)
-          .count());
-  hist_cache_.emplace(w.id(), h);
-  hist_order_.push_back(w.id());
-  return h;
+    return h;
+  });
 }
 
 double OlhAccumulator::EstimateWeighted(uint64_t value,

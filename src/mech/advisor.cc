@@ -42,84 +42,91 @@ double ConjunctiveFactor(double eps_per_report) {
   return q * (1.0 - q) / ((p - q) * (p - q)) + 1.0;
 }
 
+/// The workload-shape quantities every proxy is built from.
+struct WorkloadShape {
+  int d = 0;                       // sensitive dimensions
+  int dq = 1;                      // queried dimensions, clamped to [1, d]
+  double vol = 0.0;                // query volume, clamped to (0, 1]
+  double per_dim_fraction = 0.0;   // vol^(1/dq): per-dim range fraction
+  double query_pieces = 1.0;       // Π typical pieces over the dq widest dims
+  double cross_product = 1.0;      // Π m_i
+  int total_levels_sum = 0;        // SC: sum of heights
+  double level_tuples = 1.0;       // HIO: product of (h_i + 1)
+  double fo_noise = 0.0;           // Lemma 3 seed 4 e^eps / (e^eps - 1)^2
+};
+
+WorkloadShape DeriveShape(const Schema& schema, const MechanismParams& params,
+                          const WorkloadProfile& workload) {
+  const auto& dims = schema.sensitive_dims();
+  LDP_CHECK(!dims.empty());
+  WorkloadShape shape;
+  shape.d = static_cast<int>(dims.size());
+  shape.dq = std::clamp(workload.query_dims, 1, shape.d);
+  // Per-dimension hierarchy shapes; sort descending so the widest (most
+  // pieces) d_q dimensions bound the query decomposition.
+  shape.vol = std::clamp(workload.query_volume, 1e-12, 1.0);
+  shape.per_dim_fraction = std::pow(shape.vol, 1.0 / shape.dq);
+  std::vector<double> pieces;
+  for (const int attr_index : dims) {
+    const Attribute& attr = schema.attribute(attr_index);
+    pieces.push_back(
+        TypicalPieces(attr, params.fanout, shape.per_dim_fraction));
+    shape.cross_product *= static_cast<double>(attr.domain_size);
+    shape.total_levels_sum += HierarchyHeight(attr, params.fanout);
+    shape.level_tuples *= HierarchyHeight(attr, params.fanout) + 1.0;
+  }
+  std::sort(pieces.rbegin(), pieces.rend());
+  for (int i = 0; i < shape.dq; ++i) shape.query_pieces *= pieces[i];
+  // All proxies are variances per unit M2_T, using the exact leading noise
+  // terms (the theorem statements' closed-form bounds are loose by ~e^eps at
+  // large eps, which would skew the comparison against exact formulas).
+  const double e = std::exp(params.epsilon);
+  shape.fo_noise = 4.0 * e / ((e - 1.0) * (e - 1.0));
+  return shape;
+}
+
 }  // namespace
 
 MechanismAdvice AdviseMechanism(const Schema& schema,
                                 const MechanismParams& params,
                                 const WorkloadProfile& workload) {
+  // Candidate order MG, SC, HIO reproduces the Section 5.4 tie-breaks: MG
+  // wins ties with both, SC wins a tie with HIO.
+  constexpr MechanismKind kCandidates[] = {
+      MechanismKind::kMg, MechanismKind::kSc, MechanismKind::kHio};
+  const std::vector<MechanismScore> scores =
+      ScoreMechanisms(schema, params, workload, kCandidates);
   MechanismAdvice advice;
-  const auto& dims = schema.sensitive_dims();
-  LDP_CHECK(!dims.empty());
-  const int d = static_cast<int>(dims.size());
-  const int dq = std::clamp(workload.query_dims, 1, d);
-  const double eps = params.epsilon;
-  const double e = std::exp(eps);
+  advice.mg_variance = scores[0].variance;
+  advice.sc_variance = scores[1].variance;
+  advice.hio_variance = scores[2].variance;
+  advice.recommended = ChooseMechanism(scores);
 
-  // Per-dimension hierarchy shapes; sort descending so the widest (most
-  // pieces) d_q dimensions bound the query decomposition.
-  const double vol = std::clamp(workload.query_volume, 1e-12, 1.0);
-  const double per_dim_fraction = std::pow(vol, 1.0 / dq);
-  std::vector<double> pieces;
-  std::vector<int> heights;
-  double cross_product = 1.0;
-  int total_levels_sum = 0;   // SC: sum of heights
-  double level_tuples = 1.0;  // HIO: product of (h_i + 1)
-  for (const int attr_index : dims) {
-    const Attribute& attr = schema.attribute(attr_index);
-    pieces.push_back(TypicalPieces(attr, params.fanout, per_dim_fraction));
-    heights.push_back(HierarchyHeight(attr, params.fanout));
-    cross_product *= static_cast<double>(attr.domain_size);
-    total_levels_sum += heights.back();
-    level_tuples *= heights.back() + 1.0;
-  }
-  std::sort(pieces.rbegin(), pieces.rend());
-
-  double query_pieces = 1.0;  // Π over the dq widest dims
-  for (int i = 0; i < dq; ++i) query_pieces *= pieces[i];
-
-  // All proxies are variances per unit M2_T, using the exact leading noise
-  // terms (the theorem statements' closed-form bounds are loose by ~e^eps at
-  // large eps, which would skew the comparison against exact formulas).
-  const double fo_noise = 4.0 * e / ((e - 1.0) * (e - 1.0));  // Lemma 3 seed
-
-  // MG (eq. 10/11): one full-budget FO estimate per covered cell, plus the
-  // data term sum_cells M2(v) ~ vol * M2.
-  const double covered_cells = vol * cross_product;
-  advice.mg_variance = covered_cells * fo_noise + vol;
-
-  // HIO (Prop. 5 with k = level_tuples): per sub-query 4 k M2 e^eps/... noise
-  // plus (2k-1) sum M2(v) ~ (2k-1) vol M2 of sampling error.
-  advice.hio_variance = query_pieces * level_tuples * fo_noise +
-                        (2.0 * level_tuples - 1.0) * vol;
-
-  // SC (Prop. 10): per sub-query, the product over queried dimensions of the
-  // conjunctive factors' second moments at eps' = eps / sum(h_i).
-  const double eps_per_report = eps / static_cast<double>(total_levels_sum);
-  advice.sc_variance =
-      query_pieces * std::pow(ConjunctiveFactor(eps_per_report), dq) + vol;
-
+  const WorkloadShape shape = DeriveShape(schema, params, workload);
+  const double covered_cells = shape.vol * shape.cross_product;
   std::ostringstream why;
-  if (advice.mg_variance <= advice.hio_variance &&
-      advice.mg_variance <= advice.sc_variance) {
-    advice.recommended = MechanismKind::kMg;
-    why << "vol(q) = " << workload.query_volume << " covers only ~"
-        << covered_cells
-        << " marginal cells, below the Section 5.4 crossover (eq. 33/34): "
-           "the marginal baseline's linear-in-cells error beats the "
-           "hierarchical decompositions here.";
-  } else if (advice.sc_variance <= advice.hio_variance) {
-    advice.recommended = MechanismKind::kSc;
-    why << "d_q = " << dq << " is small relative to d = " << d
-        << " (eq. 35): SC's per-dimension reports avoid HIO's "
-        << level_tuples
-        << "-way level sampling, and the conjunctive-estimator penalty "
-           "only pays for the queried dimensions.";
-  } else {
-    advice.recommended = MechanismKind::kHio;
-    why << "HIO's polylogarithmic decomposition with full-budget sampled "
-           "levels (Theorem 9) dominates: MG would sum ~"
-        << covered_cells << " noisy cells and SC would pay eps/"
-        << total_levels_sum << " per report across " << d << " dimensions.";
+  switch (advice.recommended) {
+    case MechanismKind::kMg:
+      why << "vol(q) = " << workload.query_volume << " covers only ~"
+          << covered_cells
+          << " marginal cells, below the Section 5.4 crossover (eq. 33/34): "
+             "the marginal baseline's linear-in-cells error beats the "
+             "hierarchical decompositions here.";
+      break;
+    case MechanismKind::kSc:
+      why << "d_q = " << shape.dq << " is small relative to d = " << shape.d
+          << " (eq. 35): SC's per-dimension reports avoid HIO's "
+          << shape.level_tuples
+          << "-way level sampling, and the conjunctive-estimator penalty "
+             "only pays for the queried dimensions.";
+      break;
+    default:
+      why << "HIO's polylogarithmic decomposition with full-budget sampled "
+             "levels (Theorem 9) dominates: MG would sum ~"
+          << covered_cells << " noisy cells and SC would pay eps/"
+          << shape.total_levels_sum << " per report across " << shape.d
+          << " dimensions.";
+      break;
   }
   advice.rationale = why.str();
   return advice;
@@ -129,37 +136,17 @@ std::vector<MechanismScore> ScoreMechanisms(
     const Schema& schema, const MechanismParams& params,
     const WorkloadProfile& workload,
     std::span<const MechanismKind> candidates) {
-  const auto& dims = schema.sensitive_dims();
-  LDP_CHECK(!dims.empty());
-  const int d = static_cast<int>(dims.size());
-  const int dq = std::clamp(workload.query_dims, 1, d);
+  const auto [d, dq, vol, per_dim_fraction, query_pieces, cross_product,
+              total_levels_sum, level_tuples, fo_noise] =
+      DeriveShape(schema, params, workload);
   const double eps = params.epsilon;
-  const double e = std::exp(eps);
+  const double geo_mean_domain = std::pow(cross_product, 1.0 / d);
 
-  // The same workload-shape quantities AdviseMechanism derives, computed
-  // with identical expressions so single-candidate scores reproduce the
-  // advice proxies bit for bit.
-  const double vol = std::clamp(workload.query_volume, 1e-12, 1.0);
-  const double per_dim_fraction = std::pow(vol, 1.0 / dq);
-  std::vector<double> pieces;
-  double cross_product = 1.0;
-  double geo_mean_domain = 1.0;
-  int total_levels_sum = 0;
-  double level_tuples = 1.0;
-  for (const int attr_index : dims) {
-    const Attribute& attr = schema.attribute(attr_index);
-    pieces.push_back(TypicalPieces(attr, params.fanout, per_dim_fraction));
-    cross_product *= static_cast<double>(attr.domain_size);
-    total_levels_sum += HierarchyHeight(attr, params.fanout);
-    level_tuples *= HierarchyHeight(attr, params.fanout) + 1.0;
-  }
-  geo_mean_domain = std::pow(cross_product, 1.0 / d);
-  std::sort(pieces.rbegin(), pieces.rend());
-  double query_pieces = 1.0;
-  for (int i = 0; i < dq; ++i) query_pieces *= pieces[i];
-  const double fo_noise = 4.0 * e / ((e - 1.0) * (e - 1.0));
-
+  // MG (eq. 10/11): one full-budget FO estimate per covered cell, plus the
+  // data term sum_cells M2(v) ~ vol * M2.
   const double mg_variance = vol * cross_product * fo_noise + vol;
+  // HIO (Prop. 5 with k = level_tuples): per sub-query 4 k M2 e^eps/... noise
+  // plus (2k-1) sum M2(v) ~ (2k-1) vol M2 of sampling error.
   const double hio_variance = query_pieces * level_tuples * fo_noise +
                               (2.0 * level_tuples - 1.0) * vol;
 
@@ -194,6 +181,8 @@ std::vector<MechanismScore> ScoreMechanisms(
         score.note = "hierarchical proxy with fixed-partitioning penalty";
         break;
       case MechanismKind::kSc: {
+        // Prop. 10: per sub-query, the product over queried dimensions of
+        // the conjunctive factors' second moments at eps' = eps / sum(h_i).
         const double eps_per_report =
             eps / static_cast<double>(total_levels_sum);
         score.variance =

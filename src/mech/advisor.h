@@ -34,7 +34,9 @@ struct MechanismAdvice {
 /// very small query volumes (eq. 33/34), SC beats HIO when d_q is small
 /// relative to the total number of sensitive dimensions (eq. 35), and HIO is
 /// the default otherwise. HI is never recommended (Theorem 7/9 dominate
-/// Theorem 6/8 throughout).
+/// Theorem 6/8 throughout). The proxies and the verdict are ScoreMechanisms
+/// and ChooseMechanism over {MG, SC, HIO}, so an infeasible SC (an FO other
+/// than OLH) is never recommended.
 MechanismAdvice AdviseMechanism(const Schema& schema,
                                 const MechanismParams& params,
                                 const WorkloadProfile& workload);

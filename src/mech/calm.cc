@@ -70,7 +70,7 @@ int CalmMarginalOrder(const Schema& schema) {
 
 CalmMechanism::CalmMechanism(const Schema& schema,
                              const MechanismParams& params)
-    : Mechanism(schema, params) {
+    : StoreBackedMechanism(schema, params, ReportShape::kOneEntry) {
   num_dims_ = static_cast<int>(schema.sensitive_dims().size());
 }
 
@@ -97,7 +97,6 @@ Status CalmMechanism::Init() {
                                 spec.num_cells, params_.hash_pool_size));
     store_.AddGroup(std::move(oracle));
   }
-  marginal_reports_.assign(marginals_.size(), 0);
   return Status::OK();
 }
 
@@ -126,40 +125,6 @@ LdpReport CalmMechanism::EncodeUser(std::span<const uint32_t> values,
   LdpReport report;
   report.entries.push_back({m, store_.Encode(static_cast<int>(m), cell, rng)});
   return report;
-}
-
-Status CalmMechanism::ValidateReport(const LdpReport& report) const {
-  if (report.entries.size() != 1) {
-    return Status::InvalidArgument("CALM report must have exactly one entry");
-  }
-  if (report.entries[0].group >= marginals_.size()) {
-    return Status::OutOfRange("bad group id in CALM report");
-  }
-  return Status::OK();
-}
-
-Status CalmMechanism::AddReport(const LdpReport& report, uint64_t user) {
-  LDP_RETURN_NOT_OK(ValidateReport(report));
-  const auto& entry = report.entries[0];
-  store_.Add(entry.group, entry.fo, user);
-  ++marginal_reports_[entry.group];
-  ++num_reports_;
-  return Status::OK();
-}
-
-Status CalmMechanism::Merge(Mechanism&& shard) {
-  auto* other = dynamic_cast<CalmMechanism*>(&shard);
-  if (other == nullptr) {
-    return Status::InvalidArgument("cannot merge a non-CALM shard");
-  }
-  LDP_RETURN_NOT_OK(store_.MergeFrom(std::move(other->store_)));
-  for (size_t m = 0; m < marginal_reports_.size(); ++m) {
-    marginal_reports_[m] += other->marginal_reports_[m];
-    other->marginal_reports_[m] = 0;
-  }
-  num_reports_ += other->num_reports_;
-  other->num_reports_ = 0;
-  return Status::OK();
 }
 
 void CalmMechanism::SubBoxCells(int m, std::span<const Interval> ranges,
@@ -210,8 +175,11 @@ double CalmMechanism::CombineMarginals(std::span<const int> marginal_ids,
   EstimateNodesBatched(store_, nodes, weights, num_reports_, estimate_cache(),
                        exec(), estimates);
   const double scale = static_cast<double>(marginals_.size());
+  // Response counts per marginal are the combination weights.
   uint64_t total_responses = 0;
-  for (const int m : marginal_ids) total_responses += marginal_reports_[m];
+  for (const int m : marginal_ids) {
+    total_responses += store_.accumulator(m).num_reports();
+  }
   if (total_responses == 0) return 0.0;
   double combined = 0.0;
   for (size_t mi = 0; mi < marginal_ids.size(); ++mi) {
@@ -219,9 +187,10 @@ double CalmMechanism::CombineMarginals(std::span<const int> marginal_ids,
     for (size_t i = marginal_begin[mi]; i < marginal_begin[mi + 1]; ++i) {
       marginal_estimate += estimates[i];
     }
-    const double alpha =
-        static_cast<double>(marginal_reports_[marginal_ids[mi]]) /
-        static_cast<double>(total_responses);
+    const uint64_t responses =
+        store_.accumulator(marginal_ids[mi]).num_reports();
+    const double alpha = static_cast<double>(responses) /
+                         static_cast<double>(total_responses);
     combined += alpha * scale * marginal_estimate;
   }
   return combined;

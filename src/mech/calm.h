@@ -39,21 +39,15 @@ int CalmMarginalOrder(const Schema& schema);
 /// ranges exactly (no uniformity assumption). Queries constraining more
 /// dimensions than k fall back to a greedy marginal cover and combine the
 /// per-cover-factor selectivities multiplicatively.
-class CalmMechanism : public Mechanism {
+class CalmMechanism : public StoreBackedMechanism {
  public:
   static Result<std::unique_ptr<CalmMechanism>> Create(
       const Schema& schema, const MechanismParams& params);
 
   MechanismKind kind() const override { return MechanismKind::kCalm; }
-  uint64_t NumReportGroups() const override {
-    return static_cast<uint64_t>(marginals_.size());
-  }
 
   LdpReport EncodeUser(std::span<const uint32_t> values,
                        Rng& rng) const override;
-  Status AddReport(const LdpReport& report, uint64_t user) override;
-  Status ValidateReport(const LdpReport& report) const override;
-  Status Merge(Mechanism&& shard) override;
   Result<double> EstimateBox(std::span<const Interval> ranges,
                              const WeightVector& weights) const override;
   Result<double> VarianceBound(std::span<const Interval> ranges,
@@ -87,9 +81,6 @@ class CalmMechanism : public Mechanism {
                           const WeightVector& weights) const;
 
   std::vector<MarginalSpec> marginals_;
-  ReportStore store_;
-  /// Accepted reports per marginal — the combination weights.
-  std::vector<uint64_t> marginal_reports_;
   int order_ = 1;
   int num_dims_ = 0;
 };

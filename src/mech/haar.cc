@@ -9,7 +9,7 @@ namespace ldp {
 
 HaarMechanism::HaarMechanism(const Schema& schema,
                              const MechanismParams& params)
-    : Mechanism(schema, params) {
+    : StoreBackedMechanism(schema, params, ReportShape::kOneEntry) {
   domain_ = schema.attribute(schema.sensitive_dims()[0]).domain_size;
   height_ = 0;
   while ((1ull << height_) < domain_) ++height_;
@@ -51,35 +51,6 @@ LdpReport HaarMechanism::EncodeUser(std::span<const uint32_t> values,
   LdpReport report;
   report.entries.push_back({level, store_.Encode(level, block, rng)});
   return report;
-}
-
-Status HaarMechanism::ValidateReport(const LdpReport& report) const {
-  if (report.entries.size() != 1) {
-    return Status::InvalidArgument("Haar report must have exactly one entry");
-  }
-  if (report.entries[0].group > static_cast<uint32_t>(height_)) {
-    return Status::OutOfRange("bad level in Haar report");
-  }
-  return Status::OK();
-}
-
-Status HaarMechanism::AddReport(const LdpReport& report, uint64_t user) {
-  LDP_RETURN_NOT_OK(ValidateReport(report));
-  const auto& entry = report.entries[0];
-  store_.Add(entry.group, entry.fo, user);
-  ++num_reports_;
-  return Status::OK();
-}
-
-Status HaarMechanism::Merge(Mechanism&& shard) {
-  auto* other = dynamic_cast<HaarMechanism*>(&shard);
-  if (other == nullptr) {
-    return Status::InvalidArgument("cannot merge a non-Haar shard");
-  }
-  LDP_RETURN_NOT_OK(store_.MergeFrom(std::move(other->store_)));
-  num_reports_ += other->num_reports_;
-  other->num_reports_ = 0;
-  return Status::OK();
 }
 
 std::vector<HaarMechanism::HaarTerm> HaarMechanism::DecomposeRange(

@@ -34,7 +34,7 @@ void HdgGranularities(double epsilon, uint64_t population_hint, int num_dims,
 
 HdgMechanism::HdgMechanism(const Schema& schema,
                            const MechanismParams& params)
-    : Mechanism(schema, params) {
+    : StoreBackedMechanism(schema, params, ReportShape::kOneEntry) {
   num_dims_ = static_cast<int>(schema.sensitive_dims().size());
 }
 
@@ -92,7 +92,6 @@ Status HdgMechanism::Init() {
                                 spec.num_cells, params_.hash_pool_size));
     store_.AddGroup(std::move(oracle));
   }
-  grid_reports_.assign(grids_.size(), 0);
   return Status::OK();
 }
 
@@ -121,40 +120,6 @@ LdpReport HdgMechanism::EncodeUser(std::span<const uint32_t> values,
   LdpReport report;
   report.entries.push_back({g, store_.Encode(static_cast<int>(g), cell, rng)});
   return report;
-}
-
-Status HdgMechanism::ValidateReport(const LdpReport& report) const {
-  if (report.entries.size() != 1) {
-    return Status::InvalidArgument("HDG report must have exactly one entry");
-  }
-  if (report.entries[0].group >= grids_.size()) {
-    return Status::OutOfRange("bad group id in HDG report");
-  }
-  return Status::OK();
-}
-
-Status HdgMechanism::AddReport(const LdpReport& report, uint64_t user) {
-  LDP_RETURN_NOT_OK(ValidateReport(report));
-  const auto& entry = report.entries[0];
-  store_.Add(entry.group, entry.fo, user);
-  ++grid_reports_[entry.group];
-  ++num_reports_;
-  return Status::OK();
-}
-
-Status HdgMechanism::Merge(Mechanism&& shard) {
-  auto* other = dynamic_cast<HdgMechanism*>(&shard);
-  if (other == nullptr) {
-    return Status::InvalidArgument("cannot merge a non-HDG shard");
-  }
-  LDP_RETURN_NOT_OK(store_.MergeFrom(std::move(other->store_)));
-  for (size_t g = 0; g < grid_reports_.size(); ++g) {
-    grid_reports_[g] += other->grid_reports_[g];
-    other->grid_reports_[g] = 0;
-  }
-  num_reports_ += other->num_reports_;
-  other->num_reports_ = 0;
-  return Status::OK();
 }
 
 void HdgMechanism::TouchedCells(int g, std::span<const Interval> ranges,
@@ -222,8 +187,11 @@ double HdgMechanism::CombineGrids(std::span<const int> grid_ids,
   EstimateNodesBatched(store_, nodes, weights, num_reports_, estimate_cache(),
                        exec(), estimates);
   const double scale = static_cast<double>(grids_.size());
+  // Response counts per grid are the combination weights.
   uint64_t total_responses = 0;
-  for (const int g : grid_ids) total_responses += grid_reports_[g];
+  for (const int g : grid_ids) {
+    total_responses += store_.accumulator(g).num_reports();
+  }
   if (total_responses == 0) return 0.0;
   double combined = 0.0;
   for (size_t gi = 0; gi < grid_ids.size(); ++gi) {
@@ -231,7 +199,8 @@ double HdgMechanism::CombineGrids(std::span<const int> grid_ids,
     for (size_t i = grid_begin[gi]; i < grid_begin[gi + 1]; ++i) {
       grid_estimate += fractions[i] * estimates[i];
     }
-    const double alpha = static_cast<double>(grid_reports_[grid_ids[gi]]) /
+    const uint64_t responses = store_.accumulator(grid_ids[gi]).num_reports();
+    const double alpha = static_cast<double>(responses) /
                          static_cast<double>(total_responses);
     combined += alpha * scale * grid_estimate;
   }

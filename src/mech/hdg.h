@@ -43,21 +43,15 @@ void HdgGranularities(double epsilon, uint64_t population_hint, int num_dims,
 /// exchange for far fewer reported cells per user. Queries constraining
 /// more than two dimensions fall back to a greedy pair cover and combine
 /// the per-cover-factor selectivities multiplicatively.
-class HdgMechanism : public Mechanism {
+class HdgMechanism : public StoreBackedMechanism {
  public:
   static Result<std::unique_ptr<HdgMechanism>> Create(
       const Schema& schema, const MechanismParams& params);
 
   MechanismKind kind() const override { return MechanismKind::kHdg; }
-  uint64_t NumReportGroups() const override {
-    return static_cast<uint64_t>(grids_.size());
-  }
 
   LdpReport EncodeUser(std::span<const uint32_t> values,
                        Rng& rng) const override;
-  Status AddReport(const LdpReport& report, uint64_t user) override;
-  Status ValidateReport(const LdpReport& report) const override;
-  Status Merge(Mechanism&& shard) override;
   Result<double> EstimateBox(std::span<const Interval> ranges,
                              const WeightVector& weights) const override;
   Result<double> VarianceBound(std::span<const Interval> ranges,
@@ -96,10 +90,6 @@ class HdgMechanism : public Mechanism {
                       const WeightVector& weights) const;
 
   std::vector<GridSpec> grids_;
-  ReportStore store_;
-  /// Accepted reports per grid — the response counts the combination
-  /// weights come from. Index parallels grids_.
-  std::vector<uint64_t> grid_reports_;
   uint32_t g1_ = 2;
   uint32_t g2_ = 2;
   int num_dims_ = 0;

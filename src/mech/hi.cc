@@ -8,7 +8,7 @@
 namespace ldp {
 
 HiMechanism::HiMechanism(const Schema& schema, const MechanismParams& params)
-    : Mechanism(schema, params) {
+    : StoreBackedMechanism(schema, params, ReportShape::kEveryGroup) {
   grid_ = std::make_unique<LevelGrid>(BuildHierarchies(schema, params.fanout));
   num_dims_ = grid_->num_dims();
 }
@@ -58,38 +58,6 @@ LdpReport HiMechanism::EncodeUser(std::span<const uint32_t> values,
     report.entries.push_back({flat, store_.Encode(flat, cell, rng)});
   }
   return report;
-}
-
-Status HiMechanism::ValidateReport(const LdpReport& report) const {
-  if (report.entries.size() != levels_of_tuple_.size()) {
-    return Status::InvalidArgument("HI report must cover every d-dim level");
-  }
-  for (const auto& entry : report.entries) {
-    if (entry.group >= levels_of_tuple_.size()) {
-      return Status::OutOfRange("bad group id in HI report");
-    }
-  }
-  return Status::OK();
-}
-
-Status HiMechanism::AddReport(const LdpReport& report, uint64_t user) {
-  LDP_RETURN_NOT_OK(ValidateReport(report));
-  for (const auto& entry : report.entries) {
-    store_.Add(entry.group, entry.fo, user);
-  }
-  ++num_reports_;
-  return Status::OK();
-}
-
-Status HiMechanism::Merge(Mechanism&& shard) {
-  auto* other = dynamic_cast<HiMechanism*>(&shard);
-  if (other == nullptr) {
-    return Status::InvalidArgument("cannot merge a non-HI shard");
-  }
-  LDP_RETURN_NOT_OK(store_.MergeFrom(std::move(other->store_)));
-  num_reports_ += other->num_reports_;
-  other->num_reports_ = 0;
-  return Status::OK();
 }
 
 Result<double> HiMechanism::VarianceBound(std::span<const Interval> ranges,

@@ -19,21 +19,15 @@ namespace ldp {
 /// Server: an MDA box decomposes into at most Π_i 2(b-1)log_b(m_i)
 /// sub-queries (eq. 20); each is answered by the weighted frequency
 /// estimator of its level and the estimates are summed (eq. 21).
-class HiMechanism : public Mechanism {
+class HiMechanism : public StoreBackedMechanism {
  public:
   static Result<std::unique_ptr<HiMechanism>> Create(
       const Schema& schema, const MechanismParams& params);
 
   MechanismKind kind() const override { return MechanismKind::kHi; }
-  uint64_t NumReportGroups() const override {
-    return static_cast<uint64_t>(store_.num_groups());
-  }
 
   LdpReport EncodeUser(std::span<const uint32_t> values,
                        Rng& rng) const override;
-  Status AddReport(const LdpReport& report, uint64_t user) override;
-  Status ValidateReport(const LdpReport& report) const override;
-  Status Merge(Mechanism&& shard) override;
   Result<double> EstimateBox(std::span<const Interval> ranges,
                              const WeightVector& weights) const override;
   Result<double> VarianceBound(std::span<const Interval> ranges,
@@ -51,7 +45,6 @@ class HiMechanism : public Mechanism {
   std::unique_ptr<LevelGrid> grid_;
   /// levels_of_tuple_[flat] = the d per-dimension levels of tuple `flat`.
   std::vector<std::vector<int>> levels_of_tuple_;
-  ReportStore store_;
   double per_level_epsilon_ = 0.0;
   int num_dims_ = 0;
 };

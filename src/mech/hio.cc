@@ -9,7 +9,7 @@ namespace ldp {
 
 HioMechanism::HioMechanism(const Schema& schema,
                            const MechanismParams& params)
-    : Mechanism(schema, params) {
+    : StoreBackedMechanism(schema, params, ReportShape::kOneEntry) {
   grid_ = std::make_unique<LevelGrid>(BuildHierarchies(schema, params.fanout));
   num_dims_ = grid_->num_dims();
 }
@@ -55,35 +55,6 @@ LdpReport HioMechanism::EncodeUser(std::span<const uint32_t> values,
   LdpReport report;
   report.entries.push_back({flat, store_.Encode(flat, cell, rng)});
   return report;
-}
-
-Status HioMechanism::ValidateReport(const LdpReport& report) const {
-  if (report.entries.size() != 1) {
-    return Status::InvalidArgument("HIO report must have exactly one entry");
-  }
-  if (report.entries[0].group >= levels_of_tuple_.size()) {
-    return Status::OutOfRange("bad group id in HIO report");
-  }
-  return Status::OK();
-}
-
-Status HioMechanism::AddReport(const LdpReport& report, uint64_t user) {
-  LDP_RETURN_NOT_OK(ValidateReport(report));
-  const auto& entry = report.entries[0];
-  store_.Add(entry.group, entry.fo, user);
-  ++num_reports_;
-  return Status::OK();
-}
-
-Status HioMechanism::Merge(Mechanism&& shard) {
-  auto* other = dynamic_cast<HioMechanism*>(&shard);
-  if (other == nullptr) {
-    return Status::InvalidArgument("cannot merge a non-HIO shard");
-  }
-  LDP_RETURN_NOT_OK(store_.MergeFrom(std::move(other->store_)));
-  num_reports_ += other->num_reports_;
-  other->num_reports_ = 0;
-  return Status::OK();
 }
 
 double HioMechanism::EstimateCell(uint64_t level_flat, uint64_t cell,

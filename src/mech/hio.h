@@ -23,21 +23,15 @@ namespace ldp {
 /// Note: we implement the d-dimensional Algorithm 2 uniformly, so for d = 1
 /// the client samples from levels {0, ..., h} (Algorithm 1 samples from
 /// {1, ..., h}); the error bound of Theorem 9 with d = 1 applies.
-class HioMechanism : public Mechanism {
+class HioMechanism : public StoreBackedMechanism {
  public:
   static Result<std::unique_ptr<HioMechanism>> Create(
       const Schema& schema, const MechanismParams& params);
 
   MechanismKind kind() const override { return MechanismKind::kHio; }
-  uint64_t NumReportGroups() const override {
-    return static_cast<uint64_t>(store_.num_groups());
-  }
 
   LdpReport EncodeUser(std::span<const uint32_t> values,
                        Rng& rng) const override;
-  Status AddReport(const LdpReport& report, uint64_t user) override;
-  Status ValidateReport(const LdpReport& report) const override;
-  Status Merge(Mechanism&& shard) override;
   Result<double> EstimateBox(std::span<const Interval> ranges,
                              const WeightVector& weights) const override;
   Result<double> VarianceBound(std::span<const Interval> ranges,
@@ -65,7 +59,6 @@ class HioMechanism : public Mechanism {
 
   std::unique_ptr<LevelGrid> grid_;
   std::vector<std::vector<int>> levels_of_tuple_;
-  ReportStore store_;
   int num_dims_ = 0;
 };
 

@@ -58,6 +58,55 @@ Status Mechanism::EnsureReports() const {
   return Status::OK();
 }
 
+Status StoreBackedMechanism::ValidateReport(const LdpReport& report) const {
+  const size_t expected = shape_ == ReportShape::kEveryGroup
+                              ? static_cast<size_t>(store_.num_groups())
+                              : 1;
+  if (report.entries.size() != expected) {
+    return Status::InvalidArgument(
+        MechanismKindName(kind()) + " report must have " +
+        std::to_string(expected) + " entries, got " +
+        std::to_string(report.entries.size()));
+  }
+  for (size_t i = 0; i < report.entries.size(); ++i) {
+    const uint32_t group = report.entries[i].group;
+    if (group >= NumReportGroups()) {
+      return Status::OutOfRange("bad group id " + std::to_string(group) +
+                                " in " + MechanismKindName(kind()) + " report");
+    }
+    // Every group exactly once, in group order: a repeated group would leave
+    // another group without this user's entry.
+    if (shape_ == ReportShape::kEveryGroup && group != i) {
+      return Status::InvalidArgument(
+          MechanismKindName(kind()) + " report entry " + std::to_string(i) +
+          " carries group " + std::to_string(group));
+    }
+  }
+  return Status::OK();
+}
+
+Status StoreBackedMechanism::AddReport(const LdpReport& report,
+                                       uint64_t user) {
+  LDP_RETURN_NOT_OK(ValidateReport(report));
+  for (const auto& entry : report.entries) {
+    store_.Add(static_cast<int>(entry.group), entry.fo, user);
+  }
+  ++num_reports_;
+  return Status::OK();
+}
+
+Status StoreBackedMechanism::Merge(Mechanism&& shard) {
+  auto* other = dynamic_cast<StoreBackedMechanism*>(&shard);
+  if (other == nullptr || other->kind() != kind()) {
+    return Status::InvalidArgument("cannot merge a non-" +
+                                   MechanismKindName(kind()) + " shard");
+  }
+  LDP_RETURN_NOT_OK(store_.MergeFrom(std::move(other->store_)));
+  num_reports_ += other->num_reports_;
+  other->num_reports_ = 0;
+  return Status::OK();
+}
+
 uint64_t LdpReport::SizeWords() const {
   uint64_t words = 0;
   for (const auto& e : entries) {

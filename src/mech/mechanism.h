@@ -201,6 +201,42 @@ class Mechanism {
   std::unique_ptr<EstimateCache> estimate_cache_;
 };
 
+/// The shared server side of HI, HIO, MG, QuadTree, Haar, HDG and CALM: each
+/// report entry goes into one group of a ReportStore (one frequency oracle
+/// per level, grid or marginal) and estimates are sums of per-group FO
+/// estimates. Subclasses populate store_ in their Init and supply the
+/// encoder and the estimators; ingest, validation and the shard combiner
+/// live here once.
+class StoreBackedMechanism : public Mechanism {
+ public:
+  /// How many entries a well-formed report carries — fixed per mechanism.
+  enum class ReportShape {
+    kOneEntry,    ///< one sampled group (HIO, MG, QuadTree, Haar, HDG, CALM)
+    kEveryGroup,  ///< every group once, in group order (HI)
+  };
+
+  uint64_t NumReportGroups() const final {
+    return static_cast<uint64_t>(store_.num_groups());
+  }
+  /// InvalidArgument on a wrong entry count (or, for kEveryGroup, entries
+  /// out of group order), OutOfRange on a group id >= NumReportGroups().
+  Status ValidateReport(const LdpReport& report) const final;
+  Status AddReport(const LdpReport& report, uint64_t user) final;
+  /// Appends the shard's per-group reports after this mechanism's own; the
+  /// shard must be of the same kind.
+  Status Merge(Mechanism&& shard) final;
+
+ protected:
+  StoreBackedMechanism(Schema schema, MechanismParams params,
+                       ReportShape shape)
+      : Mechanism(std::move(schema), params), shape_(shape) {}
+
+  ReportStore store_;
+
+ private:
+  const ReportShape shape_;
+};
+
 /// Builds the per-dimension hierarchies for the schema's sensitive
 /// dimensions: b-ary for ordinal, two-level for categorical (Section 5.2).
 std::vector<std::unique_ptr<DimHierarchy>> BuildHierarchies(

@@ -17,7 +17,7 @@ constexpr uint64_t kMaxCachedBoxCells = 1ull << 16;
 }  // namespace
 
 MgMechanism::MgMechanism(const Schema& schema, const MechanismParams& params)
-    : Mechanism(schema, params) {
+    : StoreBackedMechanism(schema, params, ReportShape::kOneEntry) {
   for (const int attr : schema.sensitive_dims()) {
     domains_.push_back(schema.attribute(attr).domain_size);
     total_cells_ *= schema.attribute(attr).domain_size;
@@ -65,31 +65,6 @@ LdpReport MgMechanism::EncodeUser(std::span<const uint32_t> values,
   LdpReport report;
   report.entries.push_back({0, store_.Encode(0, cell, rng)});
   return report;
-}
-
-Status MgMechanism::ValidateReport(const LdpReport& report) const {
-  if (report.entries.size() != 1 || report.entries[0].group != 0) {
-    return Status::InvalidArgument("MG report must have exactly one entry");
-  }
-  return Status::OK();
-}
-
-Status MgMechanism::AddReport(const LdpReport& report, uint64_t user) {
-  LDP_RETURN_NOT_OK(ValidateReport(report));
-  store_.Add(0, report.entries[0].fo, user);
-  ++num_reports_;
-  return Status::OK();
-}
-
-Status MgMechanism::Merge(Mechanism&& shard) {
-  auto* other = dynamic_cast<MgMechanism*>(&shard);
-  if (other == nullptr) {
-    return Status::InvalidArgument("cannot merge a non-MG shard");
-  }
-  LDP_RETURN_NOT_OK(store_.MergeFrom(std::move(other->store_)));
-  num_reports_ += other->num_reports_;
-  other->num_reports_ = 0;
-  return Status::OK();
 }
 
 Result<double> MgMechanism::VarianceBound(std::span<const Interval> ranges,

@@ -69,7 +69,8 @@ LdpReport MultiMechanism::EncodeUser(std::span<const uint32_t> values,
   return report;
 }
 
-Status MultiMechanism::ValidateReport(const LdpReport& report) const {
+Result<int> MultiMechanism::Rebase(const LdpReport& report,
+                                   LdpReport* local) const {
   if (report.entries.empty()) {
     return Status::InvalidArgument("empty multi-mechanism report");
   }
@@ -77,8 +78,8 @@ Status MultiMechanism::ValidateReport(const LdpReport& report) const {
   if (sub < 0) {
     return Status::OutOfRange("bad group id in multi-mechanism report");
   }
-  LdpReport local = report;
-  for (auto& entry : local.entries) {
+  *local = report;
+  for (auto& entry : local->entries) {
     if (entry.group < group_offset_[sub] ||
         entry.group >= group_offset_[sub + 1]) {
       return Status::InvalidArgument(
@@ -86,16 +87,19 @@ Status MultiMechanism::ValidateReport(const LdpReport& report) const {
     }
     entry.group -= static_cast<uint32_t>(group_offset_[sub]);
   }
+  return sub;
+}
+
+Status MultiMechanism::ValidateReport(const LdpReport& report) const {
+  LdpReport local;
+  LDP_ASSIGN_OR_RETURN(const int sub, Rebase(report, &local));
   return subs_[sub]->ValidateReport(local);
 }
 
 Status MultiMechanism::AddReport(const LdpReport& report, uint64_t user) {
-  LDP_RETURN_NOT_OK(ValidateReport(report));
-  const int sub = SubOf(report.entries[0].group);
-  LdpReport local = report;
-  for (auto& entry : local.entries) {
-    entry.group -= static_cast<uint32_t>(group_offset_[sub]);
-  }
+  // The sub's AddReport validates the rebased copy; nothing else does.
+  LdpReport local;
+  LDP_ASSIGN_OR_RETURN(const int sub, Rebase(report, &local));
   LDP_RETURN_NOT_OK(subs_[sub]->AddReport(local, user));
   ++num_reports_;
   return Status::OK();

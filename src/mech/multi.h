@@ -76,6 +76,10 @@ class MultiMechanism : public Mechanism {
 
   /// Sub index owning group id `group`, or -1.
   int SubOf(uint32_t group) const;
+  /// The owning sub's index, with `local` set to a copy of `report` whose
+  /// group ids are rebased into that sub's id space. Rejects empty reports,
+  /// unowned group ids and reports spanning two subs.
+  Result<int> Rebase(const LdpReport& report, LdpReport* local) const;
   /// The cost model's pick for this query shape (index into subs_).
   int SelectSub(std::span<const Interval> ranges) const;
 

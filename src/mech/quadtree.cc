@@ -15,7 +15,7 @@ constexpr uint64_t kMaxSubQueries = 1ull << 22;
 
 QuadTreeMechanism::QuadTreeMechanism(const Schema& schema,
                                      const MechanismParams& params)
-    : Mechanism(schema, params) {
+    : StoreBackedMechanism(schema, params, ReportShape::kOneEntry) {
   for (const int attr : schema.sensitive_dims()) {
     domains_.push_back(schema.attribute(attr).domain_size);
   }
@@ -70,36 +70,6 @@ LdpReport QuadTreeMechanism::EncodeUser(std::span<const uint32_t> values,
   LdpReport report;
   report.entries.push_back({level, store_.Encode(level, cell, rng)});
   return report;
-}
-
-Status QuadTreeMechanism::ValidateReport(const LdpReport& report) const {
-  if (report.entries.size() != 1) {
-    return Status::InvalidArgument(
-        "QuadTree report must have exactly one entry");
-  }
-  if (report.entries[0].group > static_cast<uint32_t>(height_)) {
-    return Status::OutOfRange("bad level in QuadTree report");
-  }
-  return Status::OK();
-}
-
-Status QuadTreeMechanism::AddReport(const LdpReport& report, uint64_t user) {
-  LDP_RETURN_NOT_OK(ValidateReport(report));
-  const auto& entry = report.entries[0];
-  store_.Add(entry.group, entry.fo, user);
-  ++num_reports_;
-  return Status::OK();
-}
-
-Status QuadTreeMechanism::Merge(Mechanism&& shard) {
-  auto* other = dynamic_cast<QuadTreeMechanism*>(&shard);
-  if (other == nullptr) {
-    return Status::InvalidArgument("cannot merge a non-QuadTree shard");
-  }
-  LDP_RETURN_NOT_OK(store_.MergeFrom(std::move(other->store_)));
-  num_reports_ += other->num_reports_;
-  other->num_reports_ = 0;
-  return Status::OK();
 }
 
 void QuadTreeMechanism::Decompose(

@@ -93,9 +93,14 @@ Status ScMechanism::ValidateReport(const LdpReport& report) const {
   if (report.entries.size() != protocols_.size()) {
     return Status::InvalidArgument("SC report must cover every (dim, level)");
   }
-  for (const auto& entry : report.entries) {
-    if (entry.group >= protocols_.size()) {
+  for (size_t i = 0; i < report.entries.size(); ++i) {
+    if (report.entries[i].group >= protocols_.size()) {
       return Status::OutOfRange("bad group id in SC report");
+    }
+    // Every group exactly once, in group order: a repeated group would
+    // misalign the per-group seeds_/ys_ with users_.
+    if (report.entries[i].group != i) {
+      return Status::InvalidArgument("SC report entries out of group order");
     }
   }
   return Status::OK();

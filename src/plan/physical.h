@@ -74,8 +74,8 @@ struct PlanOp {
   std::vector<int> deps;
   /// Planner's node-count prediction for this op (cost annotation).
   uint64_t predicted_nodes = 0;
-  /// kExactFilter only: the canonical weight key (WeightStore::Key) — also
-  /// the batch executor's dedup handle.
+  /// kExactFilter only: the canonical weight key (WeightStore::Key). The
+  /// planner emits one filter op per key; EXPLAIN prints it.
   std::string weight_key;
 };
 

@@ -164,19 +164,13 @@ Result<PhysicalPlan> Planner::Plan(LogicalPlan logical,
   for (const LogicalTerm& term : logical.terms) {
     coef_sq += term.coefficient * term.coefficient;
   }
-  double proxy = plan.advice.hio_variance;
-  if (chosen == MechanismKind::kMg) proxy = plan.advice.mg_variance;
-  if (chosen == MechanismKind::kSc) proxy = plan.advice.sc_variance;
-  if (chosen == MechanismKind::kHdg || chosen == MechanismKind::kCalm) {
-    if (!plan.candidates.empty()) {
-      for (const MechanismScore& score : plan.candidates) {
-        if (score.kind == chosen) proxy = score.variance;
-      }
-    } else {
-      const MechanismKind one[] = {chosen};
-      proxy = ScoreMechanisms(schema_, params_, profile, one)[0].variance;
-    }
-  } else if (!plan.candidates.empty()) {
+  // The chosen mechanism's own proxy: its scored candidate entry, or a
+  // one-candidate scoring on a single-mechanism engine.
+  double proxy = 0.0;
+  if (plan.candidates.empty()) {
+    const MechanismKind one[] = {chosen};
+    proxy = ScoreMechanisms(schema_, params_, profile, one)[0].variance;
+  } else {
     for (const MechanismScore& score : plan.candidates) {
       if (score.kind == chosen) proxy = score.variance;
     }

@@ -31,8 +31,8 @@ class WeightStore {
  public:
   explicit WeightStore(const Table& table) : table_(table) {}
 
-  /// Canonical cache/dedup key — also used by the batch executor to merge
-  /// identical estimate tasks across queries.
+  /// Canonical cache key — also the planner's handle for sharing one
+  /// kExactFilter op among a plan's terms with the same weights.
   static std::string Key(ComponentKind component, const MeasureExpr& expr,
                          const Schema& schema,
                          std::span<const Constraint> public_constraints);

@@ -91,45 +91,6 @@ TEST(CalmTest, ValidateRejectsMalformedReports) {
   EXPECT_FALSE(mech->ValidateReport(doubled).ok());
 }
 
-TEST(CalmTest, ShardMergeMatchesDirectIngestBitwise) {
-  const Schema schema = MakeSchema({16, 12});
-  const uint64_t n = 800;
-  Rng data_rng(3);
-  std::vector<std::vector<uint32_t>> values(n);
-  for (uint64_t u = 0; u < n; ++u) {
-    values[u] = {static_cast<uint32_t>(data_rng.UniformInt(16)),
-                 static_cast<uint32_t>(data_rng.UniformInt(12))};
-  }
-  auto direct =
-      CalmMechanism::Create(schema, Params(2.0)).ValueOrDie();
-  std::vector<LdpReport> reports;
-  Rng rng(4);
-  for (uint64_t u = 0; u < n; ++u) {
-    reports.push_back(direct->EncodeUser(values[u], rng));
-  }
-  for (uint64_t u = 0; u < n; ++u) {
-    ASSERT_TRUE(direct->AddReport(reports[u], u).ok());
-  }
-  auto merged =
-      CalmMechanism::Create(schema, Params(2.0)).ValueOrDie();
-  auto shard_a = merged->NewShard().ValueOrDie();
-  auto shard_b = merged->NewShard().ValueOrDie();
-  for (uint64_t u = 0; u < n / 2; ++u) {
-    ASSERT_TRUE(shard_a->AddReport(reports[u], u).ok());
-  }
-  for (uint64_t u = n / 2; u < n; ++u) {
-    ASSERT_TRUE(shard_b->AddReport(reports[u], u).ok());
-  }
-  ASSERT_TRUE(merged->Merge(std::move(*shard_a)).ok());
-  ASSERT_TRUE(merged->Merge(std::move(*shard_b)).ok());
-  EXPECT_EQ(merged->num_reports(), direct->num_reports());
-
-  const WeightVector w = WeightVector::Ones(n);
-  const std::vector<Interval> ranges = {{2, 9}, {0, 11}};
-  EXPECT_EQ(direct->EstimateBox(ranges, w).ValueOrDie(),
-            merged->EstimateBox(ranges, w).ValueOrDie());
-}
-
 TEST(CalmTest, UnbiasedOnCoveredBox) {
   // Both constrained dims sit inside the single pair marginal; cell
   // boundaries are exact, so the estimator must be unbiased.

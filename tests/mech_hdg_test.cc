@@ -103,44 +103,6 @@ TEST(HdgTest, ValidateRejectsMalformedReports) {
   EXPECT_FALSE(mech->ValidateReport(two_entries).ok());
 }
 
-TEST(HdgTest, ShardMergeMatchesDirectIngestBitwise) {
-  const Schema schema = TwoDimSchema();
-  const uint64_t n = 800;
-  Rng data_rng(3);
-  std::vector<std::vector<uint32_t>> values(n);
-  for (uint64_t u = 0; u < n; ++u) {
-    values[u] = {static_cast<uint32_t>(data_rng.UniformInt(16)),
-                 static_cast<uint32_t>(data_rng.UniformInt(16))};
-  }
-  // Encode once; feed the same report bits down both ingestion paths.
-  auto direct = HdgMechanism::Create(schema, Params(2.0)).ValueOrDie();
-  std::vector<LdpReport> reports;
-  Rng rng(4);
-  for (uint64_t u = 0; u < n; ++u) {
-    reports.push_back(direct->EncodeUser(values[u], rng));
-  }
-  for (uint64_t u = 0; u < n; ++u) {
-    ASSERT_TRUE(direct->AddReport(reports[u], u).ok());
-  }
-  auto merged = HdgMechanism::Create(schema, Params(2.0)).ValueOrDie();
-  auto shard_a = merged->NewShard().ValueOrDie();
-  auto shard_b = merged->NewShard().ValueOrDie();
-  for (uint64_t u = 0; u < n / 2; ++u) {
-    ASSERT_TRUE(shard_a->AddReport(reports[u], u).ok());
-  }
-  for (uint64_t u = n / 2; u < n; ++u) {
-    ASSERT_TRUE(shard_b->AddReport(reports[u], u).ok());
-  }
-  ASSERT_TRUE(merged->Merge(std::move(*shard_a)).ok());
-  ASSERT_TRUE(merged->Merge(std::move(*shard_b)).ok());
-  EXPECT_EQ(merged->num_reports(), direct->num_reports());
-
-  const WeightVector w = WeightVector::Ones(n);
-  const std::vector<Interval> ranges = {{2, 9}, {0, 15}};
-  EXPECT_EQ(direct->EstimateBox(ranges, w).ValueOrDie(),
-            merged->EstimateBox(ranges, w).ValueOrDie());
-}
-
 TEST(HdgTest, UnbiasedOnFullResolutionGrids) {
   // Default population hint at eps = 2 clamps both granularities to the full
   // 16-value domains, so no uniformity error: the estimator must be unbiased.

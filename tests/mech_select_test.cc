@@ -108,47 +108,6 @@ TEST(MultiMechanismTest, ValidateRejectsCrossSubAndBadGroups) {
   EXPECT_FALSE(multi->ValidateReport(cross).ok());
 }
 
-TEST(MultiMechanismTest, ShardMergeMatchesDirectIngestBitwise) {
-  const Schema schema = TwoDimSchema();
-  const uint64_t n = 1000;
-  auto direct = MultiMechanism::Create(
-                    schema, Params(2.0),
-                    Kinds({MechanismKind::kHio, MechanismKind::kMg}))
-                    .ValueOrDie();
-  std::vector<LdpReport> reports;
-  Rng rng(3);
-  for (uint64_t u = 0; u < n; ++u) {
-    const std::vector<uint32_t> values = {
-        static_cast<uint32_t>(rng.UniformInt(16)),
-        static_cast<uint32_t>(rng.UniformInt(16))};
-    reports.push_back(direct->EncodeUser(values, rng));
-  }
-  for (uint64_t u = 0; u < n; ++u) {
-    ASSERT_TRUE(direct->AddReport(reports[u], u).ok());
-  }
-  auto merged = MultiMechanism::Create(
-                    schema, Params(2.0),
-                    Kinds({MechanismKind::kHio, MechanismKind::kMg}))
-                    .ValueOrDie();
-  auto shard_a = merged->NewShard().ValueOrDie();
-  auto shard_b = merged->NewShard().ValueOrDie();
-  for (uint64_t u = 0; u < n / 2; ++u) {
-    ASSERT_TRUE(shard_a->AddReport(reports[u], u).ok());
-  }
-  for (uint64_t u = n / 2; u < n; ++u) {
-    ASSERT_TRUE(shard_b->AddReport(reports[u], u).ok());
-  }
-  ASSERT_TRUE(merged->Merge(std::move(*shard_a)).ok());
-  ASSERT_TRUE(merged->Merge(std::move(*shard_b)).ok());
-  const WeightVector w = WeightVector::Ones(n);
-  const std::vector<Interval> ranges = {{2, 9}, {0, 15}};
-  for (const MechanismKind kind :
-       {MechanismKind::kHio, MechanismKind::kMg}) {
-    EXPECT_EQ(direct->EstimateBoxWith(kind, ranges, w).ValueOrDie(),
-              merged->EstimateBoxWith(kind, ranges, w).ValueOrDie());
-  }
-}
-
 TEST(MultiMechanismTest, EstimateBoxWithIsUnbiasedPerSub) {
   // Horvitz-Thompson over the cohort: k x the sub's cohort estimate must be
   // centered on the population total for every registered kind.
@@ -302,6 +261,55 @@ TEST(MechanismSelectionTest, SingleMechanismPlansCarryNoCandidates) {
           .ValueOrDie();
   EXPECT_TRUE(single->PlanFor(q).ValueOrDie()->candidates.empty());
   EXPECT_FALSE(hio_mg->PlanFor(q).ValueOrDie()->candidates.empty());
+}
+
+TEST(MechanismSelectionTest, SingleMechanismPlanCarriesItsOwnVarianceProxy) {
+  // A single-mechanism plan's predicted variance is the targeted
+  // mechanism's proxy times the sum of squared IE coefficients — not HIO's
+  // proxy standing in for HI, QuadTree or Haar.
+  TableSpec spec;
+  spec.dims.push_back(
+      {"a", AttributeKind::kSensitiveOrdinal, 16, ColumnDist::kUniform, 1.0});
+  spec.dims.push_back(
+      {"b", AttributeKind::kSensitiveOrdinal, 16, ColumnDist::kUniform, 1.0});
+  spec.measures.push_back({"m", 0.0, 5.0, ColumnDist::kUniform, 1.0, -1, 0.0});
+  const Table two_dim = GenerateTable(spec, 500, 93).ValueOrDie();
+  const Table one_dim = WideDomainTable(500);
+  struct Case {
+    MechanismKind kind;
+    const Table* table;
+    const char* sql;
+  };
+  const Case cases[] = {
+      {MechanismKind::kHi, &two_dim,
+       "SELECT COUNT(*) FROM T WHERE a IN [2, 9] OR b IN [3, 5]"},
+      {MechanismKind::kQuadTree, &two_dim,
+       "SELECT COUNT(*) FROM T WHERE a IN [2, 9] OR b IN [3, 5]"},
+      {MechanismKind::kHaar, &one_dim,
+       "SELECT COUNT(*) FROM T WHERE a IN [10, 300]"},
+      {MechanismKind::kHio, &two_dim,
+       "SELECT COUNT(*) FROM T WHERE a IN [2, 9] OR b IN [3, 5]"},
+  };
+  for (const Case& c : cases) {
+    EngineOptions options;
+    options.mechanism = c.kind;
+    options.params.epsilon = 2.0;
+    const auto engine = AnalyticsEngine::Create(*c.table, options).ValueOrDie();
+    const Query q = ParseQuery(c.table->schema(), c.sql).ValueOrDie();
+    const auto plan = engine->PlanFor(q).ValueOrDie();
+    ASSERT_EQ(plan->mechanism, c.kind);
+    double coef_sq = 0.0;
+    for (const LogicalTerm& term : plan->logical.terms) {
+      coef_sq += term.coefficient * term.coefficient;
+    }
+    const MechanismKind one[] = {c.kind};
+    const double proxy =
+        ScoreMechanisms(c.table->schema(), engine->mechanism().params(),
+                        {plan->query_dims, plan->query_volume}, one)[0]
+            .variance;
+    EXPECT_EQ(plan->predicted_variance, proxy * coef_sq)
+        << MechanismKindName(c.kind);
+  }
 }
 
 TEST(MechanismSelectionTest, MultiEngineDeterministicAcrossThreadsAndCache) {
