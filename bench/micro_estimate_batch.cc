@@ -11,12 +11,14 @@
 // per value).
 //
 //   ./bench/micro_estimate_batch                          # human-readable
-//   ./bench/micro_estimate_batch --benchmark_format=json > BENCH_estimate.json
+//   ./bench/micro_estimate_batch --benchmark_format=json  # one JSON run
 //   ./bench/micro_estimate_batch --simd=scalar            # force a level
 //
-// Record BENCH_estimate.json from a RELEASE build (the release-bench
-// preset): debug-build numbers under-report the vectorized kernels by an
-// order of magnitude and must not be committed.
+// BENCH_estimate.json keeps "before" and "after" lists of such JSON runs,
+// recorded alternately around the last change to the estimate path. Record
+// them from a RELEASE build (the release-bench preset): debug-build numbers
+// under-report the vectorized kernels by an order of magnitude and must not
+// be committed.
 
 #include <benchmark/benchmark.h>
 

@@ -15,8 +15,8 @@
 // workload shape.
 //
 // Build & run:
-//   ./examples/distributed_simulation [--n 100000] [--threads 4] \
-//       [--drop_rate 0.1] [--dup_rate 0.05] [--corrupt_rate 0.02] \
+//   ./examples/distributed_simulation [--n 100000] [--threads 4]
+//       [--drop_rate 0.1] [--dup_rate 0.05] [--corrupt_rate 0.02]
 //       [--reorder_rate 0.05] [--truncate_rate 0.01]
 //
 // With --wal_dir the server becomes durable: every delivered frame is

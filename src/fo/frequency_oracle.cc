@@ -70,11 +70,23 @@ void FoAccumulator::EstimateManyWeighted(std::span<const uint64_t> values,
   }
 }
 
+void FoAccumulator::EstimateBlock(std::span<const uint64_t> values,
+                                  const WeightVector& w, uint64_t block,
+                                  std::span<double> partial) const {
+  LDP_CHECK_EQ(block, 0u);
+  EstimateManyWeighted(values, w, partial);
+}
+
+void FoAccumulator::FinishBlocks(std::span<const uint64_t>,
+                                 const WeightVector&, std::span<double>) const {
+}
+
 WeightVector::WeightVector(std::vector<double> weights)
     : id_(g_next_weight_id.fetch_add(1)), weights_(std::move(weights)) {
   for (const double w : weights_) {
     total_ += w;
     sum_squares_ += w * w;
+    all_ones_ = all_ones_ && w == 1.0;
   }
 }
 

@@ -84,13 +84,33 @@ class WeightVector {
   double total() const { return total_; }
   /// Sum of squared weights (M2_S in the paper's bounds).
   double sum_squares() const { return sum_squares_; }
+  /// Whether every weight is exactly 1.0 (COUNT). Scans may then skip the
+  /// per-report weight gather: 1.0 is what the gather would load.
+  bool all_ones() const { return all_ones_; }
 
  private:
   uint64_t id_;
   std::vector<double> weights_;
   double total_ = 0.0;
   double sum_squares_ = 0.0;
+  bool all_ones_ = true;
 };
+
+/// Reports per block of a block-split raw scan (see
+/// FoAccumulator::EstimateBlocks). Fixed — never derived from a thread
+/// count — so a group's block boundaries, and with them the floating-point
+/// summation order of its estimates, depend only on its report count.
+inline constexpr uint64_t kEstimateReportBlock = 4096;
+
+/// The block-order rule of a block-split estimate, applied one block at a
+/// time and in block order by every caller: block 0's partials become the
+/// running sums, each later block's are added to them.
+inline void FoldBlockPartial(uint64_t block, std::span<const double> partial,
+                             std::span<double> theta) {
+  for (size_t v = 0; v < theta.size(); ++v) {
+    theta[v] = block == 0 ? partial[v] : theta[v] + partial[v];
+  }
+}
 
 /// Server-side state for one group of reports encoded with the same
 /// protocol instance. Supports unbiased weighted-frequency estimation
@@ -133,10 +153,13 @@ class FoAccumulator {
   /// per value. `out.size()` must equal `values.size()`.
   ///
   /// Bit-identical to the scalar path: each value's floating-point
-  /// accumulation order is the report order regardless of how a value set is
-  /// split into batches, so callers may tile `values` freely — including in
-  /// parallel over disjoint tiles — and always reproduce the serial scalar
-  /// loop exactly. Same thread-safety contract as EstimateWeighted.
+  /// accumulation order depends only on the reports, never on how a value
+  /// set is split into batches, so callers may tile `values` freely —
+  /// including in parallel over disjoint tiles — and always reproduce the
+  /// serial scalar loop exactly. The order is the report order, except that
+  /// a block-split oracle (EstimateBlocks() > 1) sums per-block partials in
+  /// block order (FoldBlockPartial). Same thread-safety contract as
+  /// EstimateWeighted.
   ///
   /// The default implementation loops the scalar path, so every oracle is
   /// correct by construction; OLH/GRR/OUE/HR override it with single-pass
@@ -144,6 +167,28 @@ class FoAccumulator {
   virtual void EstimateManyWeighted(std::span<const uint64_t> values,
                                     const WeightVector& w,
                                     std::span<double> out) const;
+
+  /// --- Block-split estimation ---
+  /// Every batched estimate has the form
+  ///   theta = FoldBlockPartial over b = 0 .. EstimateBlocks()-1 of P_b,
+  ///   out   = FinishBlocks(theta),
+  /// where P_b = EstimateBlock(b) covers reports
+  /// [b * kEstimateReportBlock, (b + 1) * kEstimateReportBlock). The serial
+  /// EstimateManyWeighted computes the blocks in a loop; EstimateNodesBatched
+  /// computes them as parallel tasks and folds them on the caller, so both
+  /// give the same bits. The defaults are one block whose partial is the
+  /// finished EstimateManyWeighted result and a FinishBlocks that keeps it.
+  virtual uint64_t EstimateBlocks() const { return 1; }
+  /// Writes block `block`'s per-value partials to `partial` (overwriting
+  /// it); `partial.size()` must equal `values.size()`. Same thread-safety
+  /// contract as EstimateWeighted.
+  virtual void EstimateBlock(std::span<const uint64_t> values,
+                             const WeightVector& w, uint64_t block,
+                             std::span<double> partial) const;
+  /// Turns the folded per-value sums into estimates, in place.
+  virtual void FinishBlocks(std::span<const uint64_t> values,
+                            const WeightVector& w,
+                            std::span<double> theta) const;
 
   /// Sum of w over users in this group (exact; weights are public).
   virtual double GroupWeight(const WeightVector& w) const = 0;

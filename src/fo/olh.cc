@@ -92,21 +92,27 @@ bool OlhAccumulator::UsesHistograms() const {
 }
 
 bool OlhAccumulator::HasCachedWeightSet(uint64_t weight_id) const {
-  return hist_cache_.Contains(weight_id);
+  return weight_sets_.Contains(weight_id);
 }
 
-std::shared_ptr<const OlhAccumulator::WeightedHistogram>
-OlhAccumulator::GetOrBuildHistogram(const WeightVector& w) const {
-  return hist_cache_.GetOrBuild(w, num_reports(), [&] {
-    WeightedHistogram h;
+std::shared_ptr<const OlhAccumulator::WeightSetState>
+OlhAccumulator::GetOrBuildWeightSet(const WeightVector& w) const {
+  const bool histogram = UsesHistograms();
+  return weight_sets_.GetOrBuild(w, num_reports(), [&] {
+    WeightSetState state;
     const uint32_t g = protocol_.g();
-    h.hist.assign(static_cast<size_t>(protocol_.hash_pool_size()) * g, 0.0);
+    if (histogram) {
+      state.hist.assign(static_cast<size_t>(protocol_.hash_pool_size()) * g,
+                        0.0);
+    }
     for (size_t i = 0; i < seeds_.size(); ++i) {
       const double weight = w[users_[i]];
-      h.hist[static_cast<size_t>(seeds_[i]) * g + ys_[i]] += weight;
-      h.group_weight += weight;
+      if (histogram) {
+        state.hist[static_cast<size_t>(seeds_[i]) * g + ys_[i]] += weight;
+      }
+      state.group_weight += weight;
     }
-    return h;
+    return state;
   });
 }
 
@@ -122,52 +128,77 @@ void OlhAccumulator::EstimateManyWeighted(std::span<const uint64_t> values,
                                           const WeightVector& w,
                                           std::span<double> out) const {
   LDP_CHECK_EQ(values.size(), out.size());
-  if (values.empty()) return;
-  const uint32_t g = protocol_.g();
-  const double scale = protocol_.scale();
-  const FoKernels& kernels = ActiveKernels();
-  double theta[kOlhValueTile];
-  if (UsesHistograms()) {
-    // One histogram fetch amortized over the whole batch; per value the sum
-    // runs over seeds in pool order, exactly as the scalar estimator did.
-    const auto h = GetOrBuildHistogram(w);
-    const uint32_t pool = protocol_.hash_pool_size();
-    const double* hist = h->hist.data();
-    FoEstimateMetrics().report_values->Add(static_cast<uint64_t>(pool) *
-                                           values.size());
-    for (size_t v0 = 0; v0 < values.size(); v0 += kOlhValueTile) {
-      const size_t tile = std::min(kOlhValueTile, values.size() - v0);
-      std::fill(theta, theta + tile, 0.0);
-      kernels.olh_hist(hist, pool, g, values.data() + v0, tile, theta);
-      for (size_t vi = 0; vi < tile; ++vi) {
-        out[v0 + vi] = scale * (theta[vi] - h->group_weight / g);
-      }
-    }
-    return;
-  }
-  // Raw path: one pass over the reports per value tile. The group weight
-  // accumulates in report order (independent of the value), so computing it
-  // once reproduces the scalar path bit-for-bit.
-  const size_t n = seeds_.size();
-  double group_weight = 0.0;
-  for (size_t i = 0; i < n; ++i) group_weight += w[users_[i]];
-  FoEstimateMetrics().report_values->Add(n * values.size());
+  const uint64_t blocks = EstimateBlocks();
+  double partial[kOlhValueTile];
   for (size_t v0 = 0; v0 < values.size(); v0 += kOlhValueTile) {
     const size_t tile = std::min(kOlhValueTile, values.size() - v0);
-    std::fill(theta, theta + tile, 0.0);
-    kernels.olh_raw(seeds_.data(), ys_.data(), users_.data(), n,
-                    w.values().data(), g, values.data() + v0, tile, theta);
-    for (size_t vi = 0; vi < tile; ++vi) {
-      out[v0 + vi] = scale * (theta[vi] - group_weight / g);
+    const auto tile_values = values.subspan(v0, tile);
+    const auto theta = out.subspan(v0, tile);
+    for (uint64_t b = 0; b < blocks; ++b) {
+      EstimateBlock(tile_values, w, b, std::span<double>(partial, tile));
+      FoldBlockPartial(b, std::span<const double>(partial, tile), theta);
     }
+    FinishBlocks(tile_values, w, theta);
   }
 }
 
+uint64_t OlhAccumulator::EstimateBlocks() const {
+  if (UsesHistograms()) return 1;
+  return std::max<uint64_t>(
+      1, (num_reports() + kEstimateReportBlock - 1) / kEstimateReportBlock);
+}
+
+void OlhAccumulator::EstimateBlock(std::span<const uint64_t> values,
+                                   const WeightVector& w, uint64_t block,
+                                   std::span<double> partial) const {
+  LDP_CHECK_EQ(values.size(), partial.size());
+  LDP_DCHECK(block < EstimateBlocks());
+  const uint32_t g = protocol_.g();
+  const FoKernels& kernels = ActiveKernels();
+  // Pooled: one histogram fetch for the whole batch, and per value the sum
+  // runs over seeds in pool order. Raw: the block's reports in order; block
+  // 0 also builds the group weight FinishBlocks needs, so a fanned-out
+  // estimate pays for it in a task rather than on the caller.
+  const auto state = UsesHistograms() ? GetOrBuildWeightSet(w) : nullptr;
+  if (state == nullptr && block == 0) (void)GroupWeight(w);
+  const size_t begin = block * kEstimateReportBlock;
+  const size_t end =
+      std::min<size_t>(seeds_.size(), begin + kEstimateReportBlock);
+  const uint32_t pool = protocol_.hash_pool_size();
+  FoEstimateMetrics().report_values->Add(
+      (state != nullptr ? pool : end - begin) * values.size());
+  // The kernels accumulate into a stack tile, not into `partial`: concurrent
+  // block tasks write neighbouring slices of one buffer, and a cache line
+  // they share would bounce between cores once per report.
+  double theta[kOlhValueTile];
+  for (size_t v0 = 0; v0 < values.size(); v0 += kOlhValueTile) {
+    const size_t tile = std::min(kOlhValueTile, values.size() - v0);
+    std::fill(theta, theta + tile, 0.0);
+    if (state != nullptr) {
+      kernels.olh_hist(state->hist.data(), pool, g, values.data() + v0, tile,
+                       theta);
+    } else {
+      kernels.olh_raw(seeds_.data() + begin, ys_.data() + begin,
+                      users_.data() + begin, end - begin,
+                      w.all_ones() ? nullptr : w.values().data(), g,
+                      values.data() + v0, tile, theta);
+    }
+    std::copy(theta, theta + tile, partial.begin() + v0);
+  }
+}
+
+void OlhAccumulator::FinishBlocks(std::span<const uint64_t>,
+                                  const WeightVector& w,
+                                  std::span<double> theta) const {
+  const double offset = GroupWeight(w) / protocol_.g();
+  const double scale = protocol_.scale();
+  for (double& t : theta) t = scale * (t - offset);
+}
+
 double OlhAccumulator::GroupWeight(const WeightVector& w) const {
-  if (UsesHistograms()) return GetOrBuildHistogram(w)->group_weight;
-  double total = 0.0;
-  for (const uint64_t user : users_) total += w[user];
-  return total;
+  // n ones summed in report order are exactly n: no gather, no cache entry.
+  if (w.all_ones()) return static_cast<double>(num_reports());
+  return GetOrBuildWeightSet(w)->group_weight;
 }
 
 }  // namespace ldp

@@ -61,11 +61,15 @@ class OlhProtocol : public FrequencyOracle {
 };
 
 /// Server-side OLH state: a structure-of-arrays of (seed, y, user) triples
-/// plus, when seeds are pooled and the group is large, cached per-seed
-/// histograms of weight sums so one cell estimate costs O(pool) rather than
-/// O(#reports). The histograms live in a WeightSetCache, so concurrent
-/// estimation fan-out (parallel box decomposition) is safe and Add/Merge
-/// stay lock-free.
+/// plus, per weight set, a cached group weight and, when seeds are pooled and
+/// the group is large, per-seed histograms of weight sums so one cell
+/// estimate costs O(pool) rather than O(#reports). Both live in a
+/// WeightSetCache, so concurrent estimation fan-out (parallel box
+/// decomposition) is safe and Add/Merge stay lock-free.
+///
+/// Without histograms the estimate is a raw scan split into fixed
+/// kEstimateReportBlock-report blocks (EstimateBlocks), whose per-value
+/// partials are summed in block order.
 class OlhAccumulator : public FoAccumulator {
  public:
   explicit OlhAccumulator(const OlhProtocol& protocol);
@@ -79,6 +83,11 @@ class OlhAccumulator : public FoAccumulator {
                             const WeightVector& w,
                             std::span<double> out) const override;
   double GroupWeight(const WeightVector& w) const override;
+  uint64_t EstimateBlocks() const override;
+  void EstimateBlock(std::span<const uint64_t> values, const WeightVector& w,
+                     uint64_t block, std::span<double> partial) const override;
+  void FinishBlocks(std::span<const uint64_t> values, const WeightVector& w,
+                    std::span<double> theta) const override;
 
   /// Exposed for white-box tests: whether the last estimate used histograms.
   bool UsesHistograms() const;
@@ -87,20 +96,22 @@ class OlhAccumulator : public FoAccumulator {
   bool HasCachedWeightSet(uint64_t weight_id) const;
 
  private:
-  struct WeightedHistogram {
-    /// hist[seed * g + y] = sum of weights of reports with (seed, y).
+  struct WeightSetState {
+    /// hist[seed * g + y] = sum of weights of reports with (seed, y); empty
+    /// when the group is estimated by raw scan.
     std::vector<double> hist;
+    /// Sum of the weights of this group's reports, in report order.
     double group_weight = 0.0;
   };
 
-  std::shared_ptr<const WeightedHistogram> GetOrBuildHistogram(
+  std::shared_ptr<const WeightSetState> GetOrBuildWeightSet(
       const WeightVector& w) const;
 
   const OlhProtocol& protocol_;
   std::vector<uint32_t> seeds_;
   std::vector<uint32_t> ys_;
   std::vector<uint64_t> users_;
-  WeightSetCache<WeightedHistogram> hist_cache_;
+  WeightSetCache<WeightSetState> weight_sets_;
 };
 
 }  // namespace ldp

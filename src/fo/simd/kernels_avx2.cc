@@ -84,7 +84,7 @@ void OlhRawAvx2(const uint32_t* seeds, const uint32_t* ys,
   for (size_t i = 0; i < num_reports; ++i) {
     const uint64_t base = SeededHashFamily::SeedBase(seeds[i]);
     const uint32_t y = ys[i];
-    const double weight = weights[users[i]];
+    const double weight = weights == nullptr ? 1.0 : weights[users[i]];
     const __m256i base_v = _mm256_set1_epi64x(static_cast<long long>(base));
     const __m256i y_v = _mm256_set1_epi64x(static_cast<long long>(y));
     const __m256d w_v = _mm256_set1_pd(weight);

@@ -40,7 +40,7 @@ void OlhRawNeon(const uint32_t* seeds, const uint32_t* ys,
   for (size_t i = 0; i < num_reports; ++i) {
     const uint64_t base = SeededHashFamily::SeedBase(seeds[i]);
     const uint32_t y = ys[i];
-    const double weight = weights[users[i]];
+    const double weight = weights == nullptr ? 1.0 : weights[users[i]];
     const float64x2_t w_v = vdupq_n_f64(weight);
     size_t vi = 0;
     for (; vi < nv2; vi += 2) {

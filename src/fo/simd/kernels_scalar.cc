@@ -20,7 +20,7 @@ void OlhRawScalar(const uint32_t* seeds, const uint32_t* ys,
   for (size_t i = 0; i < num_reports; ++i) {
     const uint64_t base = SeededHashFamily::SeedBase(seeds[i]);
     const uint32_t y = ys[i];
-    const double weight = weights[users[i]];
+    const double weight = weights == nullptr ? 1.0 : weights[users[i]];
     for (size_t vi = 0; vi < num_values; ++vi) {
       // Branchless: adds +0.0 when the report does not support the value,
       // which cannot change theta's bits (theta is never -0.0), so this is

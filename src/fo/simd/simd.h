@@ -15,10 +15,12 @@ namespace ldp {
 /// One level is active per process (selected once at startup, or forced via
 /// EngineOptions::simd_level / the benches' --simd flag). Every level
 /// computes bit-identical results: kernels map SIMD *lanes to values*, so
-/// each value's floating-point partial sum still accumulates in report order
-/// (for raw scans), pool-seed order (pooled OLH histograms), or spectrum
-/// order (HR) — exactly the scalar loop's order. No value's sum is ever
-/// split across lanes, so there is no lane-merge reduction to reorder.
+/// within one kernel call each value's floating-point partial sum still
+/// accumulates in report order (for raw scans), pool-seed order (pooled OLH
+/// histograms), or spectrum order (HR) — exactly the scalar loop's order. No
+/// value's sum is ever split across lanes, so there is no lane-merge
+/// reduction to reorder. (Splitting a scan into report blocks is the
+/// caller's business and happens above this layer, at fixed boundaries.)
 enum class SimdLevel {
   kAuto = 0,    ///< resolve to the best supported level at first use
   kScalar = 1,  ///< portable fallback, always available
@@ -46,6 +48,11 @@ struct FoKernels {
 
   /// OLH raw scan: for each report i (in order) and each value v,
   ///   theta[v] += weights[users[i]] * (H_{seeds[i]}(values[v]) == ys[i]).
+  /// `weights == nullptr` means every weight is 1.0: the kernel reads
+  /// neither `weights` nor `users`, and the result is bit-identical to an
+  /// explicit all-ones array. The accumulator calls it once per fixed
+  /// kEstimateReportBlock-report block (frequency_oracle.h) and sums the
+  /// blocks' partials in block order, so a span passed here is one block.
   void (*olh_raw)(const uint32_t* seeds, const uint32_t* ys,
                   const uint64_t* users, size_t num_reports,
                   const double* weights, uint32_t g, const uint64_t* values,

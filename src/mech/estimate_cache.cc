@@ -104,9 +104,12 @@ void EstimateNodesBatched(const ReportStore& store,
 
   // Probe the cache; gather misses per group in first-appearance order.
   struct Bucket {
+    const FoAccumulator* acc = nullptr;
     uint64_t group = 0;
     std::vector<uint64_t> values;   // node ids to estimate
     std::vector<size_t> positions;  // indices into nodes/out
+    uint64_t blocks = 1;
+    std::vector<double> partials;   // blocks rows of values.size() each
     std::vector<double> results;
   };
   std::vector<Bucket> buckets;
@@ -122,6 +125,7 @@ void EstimateNodesBatched(const ReportStore& store,
     if (inserted) {
       buckets.emplace_back();
       buckets.back().group = node.group;
+      buckets.back().acc = &store.accumulator(static_cast<int>(node.group));
     }
     Bucket& bucket = buckets[it->second];
     bucket.values.push_back(node.node);
@@ -129,22 +133,28 @@ void EstimateNodesBatched(const ReportStore& store,
   }
   if (buckets.empty()) return;
 
-  // One kernel call per (bucket, fixed value tile), fanned out over the
-  // execution context. Per-value results are tiling-independent (the kernel
-  // contract), so the fan-out cannot change a single output bit.
+  // One task per (bucket, fixed value tile, report block), fanned out over
+  // the execution context. Each task writes its own slice of the bucket's
+  // partials; the blocks are folded on the caller in block order, which is
+  // the same rule the serial EstimateManyWeighted applies, so neither the
+  // thread count nor the tiling can change a single output bit.
   struct Task {
     size_t bucket;
     size_t begin;
     size_t end;
+    uint64_t block;
   };
   std::vector<Task> tasks;
   for (size_t b = 0; b < buckets.size(); ++b) {
-    buckets[b].results.assign(buckets[b].values.size(), 0.0);
-    for (size_t v0 = 0; v0 < buckets[b].values.size();
-         v0 += kEstimateValueChunk) {
-      tasks.push_back(
-          {b, v0,
-           std::min(v0 + kEstimateValueChunk, buckets[b].values.size())});
+    Bucket& bucket = buckets[b];
+    const size_t num_values = bucket.values.size();
+    bucket.blocks = bucket.acc->EstimateBlocks();
+    bucket.partials.resize(bucket.blocks * num_values);
+    for (size_t v0 = 0; v0 < num_values; v0 += kEstimateValueChunk) {
+      const size_t v1 = std::min(v0 + kEstimateValueChunk, num_values);
+      for (uint64_t block = 0; block < bucket.blocks; ++block) {
+        tasks.push_back({b, v0, v1, block});
+      }
     }
   }
   if (GlobalMetrics().enabled()) {
@@ -155,15 +165,28 @@ void EstimateNodesBatched(const ReportStore& store,
     const Task& task = tasks[t];
     Bucket& bucket = buckets[task.bucket];
     const size_t len = task.end - task.begin;
-    store.accumulator(static_cast<int>(bucket.group))
-        .EstimateManyWeighted(
-            std::span<const uint64_t>(bucket.values.data() + task.begin, len),
-            w, std::span<double>(bucket.results.data() + task.begin, len));
+    bucket.acc->EstimateBlock(
+        std::span<const uint64_t>(bucket.values.data() + task.begin, len), w,
+        task.block,
+        std::span<double>(bucket.partials.data() +
+                              task.block * bucket.values.size() + task.begin,
+                          len));
   });
 
-  // Scatter + cache fill in deterministic (bucket, position) order.
-  for (const Bucket& bucket : buckets) {
-    for (size_t k = 0; k < bucket.values.size(); ++k) {
+  // Fold + finish, then scatter and fill the cache, in deterministic
+  // (bucket, position) order.
+  for (Bucket& bucket : buckets) {
+    const size_t num_values = bucket.values.size();
+    bucket.results.resize(num_values);
+    for (uint64_t block = 0; block < bucket.blocks; ++block) {
+      FoldBlockPartial(
+          block,
+          std::span<const double>(bucket.partials.data() + block * num_values,
+                                  num_values),
+          bucket.results);
+    }
+    bucket.acc->FinishBlocks(bucket.values, w, bucket.results);
+    for (size_t k = 0; k < num_values; ++k) {
       out[bucket.positions[k]] = bucket.results[k];
       if (cache != nullptr) {
         cache->Put(bucket.group, bucket.values[k], w.id(), epoch,

@@ -15,7 +15,7 @@ namespace ldp {
 
 class ExecutionContext;
 
-/// Number of values per EstimateManyWeighted call when a batched estimation
+/// Number of values per EstimateBlock call when a batched estimation
 /// fan-out is split across the execution context. Fixed — never derived from
 /// the thread count — so the tiling of a fan-out depends only on its size;
 /// the kernels additionally guarantee per-value results are independent of
@@ -119,9 +119,10 @@ class EstimateCache {
 
 /// Estimates every node of `nodes` against `w`, writing out[i] for
 /// nodes[i]: probes `cache` first (when non-null, validated against
-/// `epoch`), gathers the misses per group, issues one batched
-/// EstimateManyWeighted call per (group, fixed-size value tile) fanned out
-/// over `exec`, then scatters results and fills the cache in deterministic
+/// `epoch`), gathers the misses per group, runs one EstimateBlock task per
+/// (group, fixed-size value tile, report block) fanned out over `exec`,
+/// folds each group's block partials in block order and finishes them on
+/// the caller, then scatters results and fills the cache in deterministic
 /// node order. Bit-identical to a serial per-node EstimateWeighted loop for
 /// any thread count and any cache state.
 void EstimateNodesBatched(const ReportStore& store,

@@ -61,7 +61,7 @@ void PlanCache::Put(const std::string& key,
     m_evictions_->Increment();
   }
   auto lru_it = lru_.insert(lru_.end(), key);
-  entries_.emplace(key, Entry{std::move(plan), lru_it});
+  entries_.emplace(key, Entry{std::move(plan), lru_it, {}});
   ++stats_.insertions;
   m_insertions_->Increment();
 }

@@ -206,6 +206,38 @@ TEST(SimdKernelFuzzTest, AllLevelsMatchScalarBitwise) {
   }
 }
 
+TEST(SimdKernelFuzzTest, OlhRawNullWeightsMatchExplicitOnes) {
+  // weights == nullptr means "every weight is 1.0" (the all-ones COUNT
+  // scan): it must give the bits of an explicit ones array at every level.
+  for (const SimdLevel level : SupportedLevels()) {
+    const FoKernels& kernels = KernelsForLevel(level);
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      Rng rng(seed);
+      const FuzzCase c = MakeCase(rng, /*num_reports=*/300, /*max_values=*/37);
+      const size_t n = c.seeds.size();
+      const std::vector<double> ones(n, 1.0);
+      for (const size_t num_values : kValueCounts) {
+        for (const size_t off : kOffsets) {
+          const uint64_t* values = c.values.data() + off;
+          std::vector<double> a(num_values + 8, 0.0);
+          std::vector<double> b(num_values + 8, 0.0);
+          kernels.olh_raw(c.seeds.data(), c.ys.data(), c.users.data(), n,
+                          ones.data(), c.g, values, num_values,
+                          a.data() + off);
+          kernels.olh_raw(c.seeds.data(), c.ys.data(), c.users.data(), n,
+                          nullptr, c.g, values, num_values, b.data() + off);
+          for (size_t v = 0; v < num_values; ++v) {
+            ExpectBitEqual(b[off + v], a[off + v],
+                           "olh_raw nullptr weights " + SimdLevelName(level) +
+                               " nv=" + std::to_string(num_values) +
+                               " off=" + std::to_string(off));
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Accumulator level: EstimateManyWeighted under a forced level must match
 // the scalar-forced run bitwise for every oracle, tiling, and span offset.
