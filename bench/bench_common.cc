@@ -11,6 +11,9 @@ namespace ldp {
 namespace bench {
 
 namespace {
+/// The accepted --simd values, for help and error text.
+constexpr const char* kSimdLevelNames = "auto|scalar|avx2|avx512|neon";
+
 /// Destination of the atexit stats dump; set once by ParseBenchConfig.
 std::string& StatsJsonPath() {
   static std::string path;
@@ -71,8 +74,8 @@ void ApplySimdFromArgs(int* argc, char** argv) {
     if (arg.rfind(kPrefix, 0) == 0) {
       const auto level = SimdLevelFromString(arg.substr(kPrefix.size()));
       if (!level.ok()) {
-        std::fprintf(stderr, "%s (expected auto|scalar|avx2|neon)\n",
-                     level.status().ToString().c_str());
+        std::fprintf(stderr, "%s (expected %s)\n",
+                     level.status().ToString().c_str(), kSimdLevelNames);
         std::exit(2);
       }
       SetSimdLevel(level.value());
@@ -81,6 +84,14 @@ void ApplySimdFromArgs(int* argc, char** argv) {
     }
   }
   *argc = out;
+}
+
+std::vector<int64_t> SimdLevelArgs() {
+  std::vector<int64_t> args;
+  for (const SimdLevel level : SupportedSimdLevels()) {
+    args.push_back(static_cast<int64_t>(level));
+  }
+  return args;
 }
 
 bool ParseBenchConfig(int argc, char** argv, const std::string& name,
@@ -105,13 +116,14 @@ bool ParseBenchConfig(int argc, char** argv, const std::string& name,
   p->AddBool("explain", &config->explain,
              "dump each engine's plan for the first workload query");
   p->AddString("simd", &config->simd,
-               "frequency-oracle kernel level: auto|scalar|avx2|neon");
+               std::string("frequency-oracle kernel level: ") +
+                   kSimdLevelNames);
   if (!p->Parse(argc, argv)) return false;
   ExplainFirstQuery() = config->explain;
   const auto simd_level = SimdLevelFromString(config->simd);
   if (!simd_level.ok()) {
-    std::fprintf(stderr, "%s (expected auto|scalar|avx2|neon)\n",
-                 simd_level.status().ToString().c_str());
+    std::fprintf(stderr, "%s (expected %s)\n",
+                 simd_level.status().ToString().c_str(), kSimdLevelNames);
     return false;
   }
   // Fatal (by design) when the host cannot run the forced level.

@@ -45,7 +45,8 @@ struct BenchConfig {
   /// histogram the library exports; see the README metrics reference) plus
   /// the accumulated per-query profile of the bench's workload.
   std::string stats_json;
-  /// Frequency-oracle kernel level: auto, scalar, avx2, neon (SetSimdLevel).
+  /// Frequency-oracle kernel level: auto, scalar, avx2, avx512, neon
+  /// (SetSimdLevel).
   /// Estimates are bit-identical at every level; forcing one the host cannot
   /// run is fatal rather than silently falling back, so a recorded curve is
   /// always measured with the kernels its label names.
@@ -69,6 +70,11 @@ void EnableStatsJsonFromArgs(int* argc, char** argv);
 /// usage error on an unknown level name; LDP_CHECK-fatal (by design) when
 /// the level is unsupported on this host. Call before benchmark::Initialize.
 void ApplySimdFromArgs(int* argc, char** argv);
+
+/// Google Benchmark args sweeping every SIMD level this binary + host can
+/// run (SupportedSimdLevels()), as SimdLevel's integer values: read one
+/// back with static_cast<SimdLevel>(state.range(i)).
+std::vector<int64_t> SimdLevelArgs();
 
 /// Resolves defaults: n and queries fall back to (full ? paper : quick).
 int64_t ResolveN(const BenchConfig& config, int64_t quick_default,

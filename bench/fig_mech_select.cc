@@ -86,8 +86,9 @@ SuiteSpec HighDimMarginalSuite() {
   suite.name = "highdim-marginal-calm-vs-sc";
   suite.kinds = {MechanismKind::kSc, MechanismKind::kCalm};
   for (int i = 0; i < 6; ++i) {
-    suite.table.dims.push_back({"d" + std::to_string(i),
-                                AttributeKind::kSensitiveOrdinal, 8,
+    std::string name = "d";
+    name += std::to_string(i);
+    suite.table.dims.push_back({name, AttributeKind::kSensitiveOrdinal, 8,
                                 ColumnDist::kUniform, 1.0});
   }
   suite.table.measures.push_back(

@@ -166,12 +166,13 @@ BENCHMARK(BM_OueEstimate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 // Per-kernel scalar-vs-SIMD curves (src/fo/simd/). Each bench drives one
 // FoKernels entry directly on synthetic inputs — the exact inner loop the
 // accumulators run, with no gating, caching, or finalization noise around
-// it. Arg 0 = forced scalar, arg 1 = best level this binary + host supports
-// (identical to scalar under LDPMDA_DISABLE_SIMD or on hosts without a
-// vector unit, so the curve degenerates gracefully). The label names the
-// level actually measured; `reports_per_sec` counts reduction-dimension
-// elements consumed per second (reports for the raw scans, pool seeds for
-// the pooled OLH histogram, spectrum entries for HR).
+// it. The arg sweeps every level this binary + host supports
+// (SupportedSimdLevels(), as SimdLevel's integer value: 1 scalar, 2 avx2,
+// 3 neon, 4 avx512), so it degenerates to scalar alone under
+// LDPMDA_DISABLE_SIMD. The label names the level measured;
+// `reports_per_sec` counts reduction-dimension elements consumed per second
+// (reports for the raw scans, pool seeds for the pooled OLH histogram,
+// spectrum entries for HR).
 
 constexpr uint64_t kKernelRows = 1u << 18;
 constexpr uint32_t kKernelG = 8;       // OLH hash range (~e^eps + 1 at eps=2)
@@ -180,10 +181,9 @@ constexpr uint64_t kKernelDomain = 1024;
 constexpr size_t kKernelSpectrum = 1u << 16;
 
 /// Resolves the bench arg to a kernel table and labels the state with the
-/// level actually measured.
+/// level measured.
 const FoKernels& KernelTable(benchmark::State& state) {
-  const SimdLevel level =
-      state.range(0) == 0 ? SimdLevel::kScalar : DetectSimdLevel();
+  const auto level = static_cast<SimdLevel>(state.range(0));
   state.SetLabel(SimdLevelName(level));
   return KernelsForLevel(level);
 }
@@ -250,7 +250,9 @@ void BM_KernelOlhRaw(benchmark::State& state) {
   }
   SetReportsPerSec(state, static_cast<double>(kKernelRows));
 }
-BENCHMARK(BM_KernelOlhRaw)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KernelOlhRaw)
+    ->ArgsProduct({bench::SimdLevelArgs()})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_KernelOlhHist(benchmark::State& state) {
   const FoKernels& kernels = KernelTable(state);
@@ -265,7 +267,9 @@ void BM_KernelOlhHist(benchmark::State& state) {
   }
   SetReportsPerSec(state, static_cast<double>(kKernelPool));
 }
-BENCHMARK(BM_KernelOlhHist)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KernelOlhHist)
+    ->ArgsProduct({bench::SimdLevelArgs()})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_KernelGrrRaw(benchmark::State& state) {
   const FoKernels& kernels = KernelTable(state);
@@ -283,7 +287,9 @@ void BM_KernelGrrRaw(benchmark::State& state) {
   }
   SetReportsPerSec(state, static_cast<double>(kKernelRows));
 }
-BENCHMARK(BM_KernelGrrRaw)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KernelGrrRaw)
+    ->ArgsProduct({bench::SimdLevelArgs()})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_KernelOueRaw(benchmark::State& state) {
   const FoKernels& kernels = KernelTable(state);
@@ -299,7 +305,9 @@ void BM_KernelOueRaw(benchmark::State& state) {
   }
   SetReportsPerSec(state, static_cast<double>(kKernelRows));
 }
-BENCHMARK(BM_KernelOueRaw)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KernelOueRaw)
+    ->ArgsProduct({bench::SimdLevelArgs()})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_KernelHrSpectrum(benchmark::State& state) {
   const FoKernels& kernels = KernelTable(state);
@@ -315,7 +323,9 @@ void BM_KernelHrSpectrum(benchmark::State& state) {
   }
   SetReportsPerSec(state, static_cast<double>(kKernelSpectrum));
 }
-BENCHMARK(BM_KernelHrSpectrum)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KernelHrSpectrum)
+    ->ArgsProduct({bench::SimdLevelArgs()})
+    ->Unit(benchmark::kMillisecond);
 
 /// Repeated identical query through the engine: with the node-estimate cache
 /// every per-node estimate after the first execution is a hash-map probe;

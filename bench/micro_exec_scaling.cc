@@ -139,13 +139,12 @@ BENCHMARK(BM_IngestBatch)
 
 /// Box estimation: the HIO level-grid fan-out runs one sub-query per level
 /// combination; the exec context spreads them over the workers. The second
-/// arg sweeps the frequency-oracle kernel level (0 = forced scalar, 1 =
-/// best supported — identical to scalar on hosts without a vector unit);
-/// the label names the level actually measured.
+/// arg sweeps every frequency-oracle kernel level this binary + host
+/// supports (SimdLevel's integer value: 1 scalar, 2 avx2, 3 neon,
+/// 4 avx512); the label names the level measured.
 void BM_EstimateBox(benchmark::State& state) {
   const int num_threads = static_cast<int>(state.range(0));
-  const SimdLevel level =
-      state.range(1) == 0 ? SimdLevel::kScalar : DetectSimdLevel();
+  const auto level = static_cast<SimdLevel>(state.range(1));
   static auto* engines =
       new std::map<int, std::unique_ptr<AnalyticsEngine>>();
   std::unique_ptr<AnalyticsEngine>& engine = (*engines)[num_threads];
@@ -177,7 +176,7 @@ void BM_EstimateBox(benchmark::State& state) {
   SetSimdLevel(SimdLevel::kAuto);
 }
 BENCHMARK(BM_EstimateBox)
-    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
+    ->ArgsProduct({{1, 2, 4, 8}, bench::SimdLevelArgs()})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

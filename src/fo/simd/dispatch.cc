@@ -8,13 +8,16 @@
 
 namespace ldp {
 
-// Defined in kernels_scalar.cc / kernels_avx2.cc / kernels_neon.cc. The
-// vector TUs are only compiled (and only declared here) when the matching
-// LDPMDA_FO_SIMD_* definition is set by the build, so this TU can never
-// reference a table the linker does not have.
+// Defined in kernels_scalar.cc / kernels_avx2.cc / kernels_avx512.cc /
+// kernels_neon.cc. The vector TUs are only compiled (and only declared here)
+// when the matching LDPMDA_FO_SIMD_* definition is set by the build, so this
+// TU can never reference a table the linker does not have.
 const FoKernels& ScalarFoKernels();
 #if defined(LDPMDA_FO_SIMD_AVX2)
 const FoKernels& Avx2FoKernels();
+#endif
+#if defined(LDPMDA_FO_SIMD_AVX512)
+const FoKernels& Avx512FoKernels();
 #endif
 #if defined(LDPMDA_FO_SIMD_NEON)
 const FoKernels& NeonFoKernels();
@@ -30,6 +33,8 @@ std::string SimdLevelName(SimdLevel level) {
       return "avx2";
     case SimdLevel::kNeon:
       return "neon";
+    case SimdLevel::kAvx512:
+      return "avx512";
   }
   return "?";
 }
@@ -40,18 +45,11 @@ Result<SimdLevel> SimdLevelFromString(std::string_view name) {
   if (lower == "scalar") return SimdLevel::kScalar;
   if (lower == "avx2") return SimdLevel::kAvx2;
   if (lower == "neon") return SimdLevel::kNeon;
+  if (lower == "avx512") return SimdLevel::kAvx512;
   return Status::InvalidArgument("unknown SIMD level: " + std::string(name));
 }
 
-SimdLevel DetectSimdLevel() {
-#if defined(LDPMDA_FO_SIMD_AVX2)
-  if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-#endif
-#if defined(LDPMDA_FO_SIMD_NEON)
-  return SimdLevel::kNeon;
-#endif
-  return SimdLevel::kScalar;
-}
+SimdLevel DetectSimdLevel() { return SupportedSimdLevels().back(); }
 
 bool SimdLevelSupported(SimdLevel level) {
   switch (level) {
@@ -70,8 +68,25 @@ bool SimdLevelSupported(SimdLevel level) {
 #else
       return false;
 #endif
+    case SimdLevel::kAvx512:
+#if defined(LDPMDA_FO_SIMD_AVX512)
+      return __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("avx512dq");
+#else
+      return false;
+#endif
   }
   return false;
+}
+
+std::vector<SimdLevel> SupportedSimdLevels() {
+  std::vector<SimdLevel> levels;
+  // Narrowest first: DetectSimdLevel takes the last entry.
+  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kNeon,
+                                SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (SimdLevelSupported(level)) levels.push_back(level);
+  }
+  return levels;
 }
 
 const FoKernels& KernelsForLevel(SimdLevel level) {
@@ -91,6 +106,12 @@ const FoKernels& KernelsForLevel(SimdLevel level) {
     case SimdLevel::kNeon:
 #if defined(LDPMDA_FO_SIMD_NEON)
       return NeonFoKernels();
+#else
+      break;
+#endif
+    case SimdLevel::kAvx512:
+#if defined(LDPMDA_FO_SIMD_AVX512)
+      return Avx512FoKernels();
 #else
       break;
 #endif

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 
@@ -21,11 +22,16 @@ namespace ldp {
 /// value's sum is ever split across lanes, so there is no lane-merge
 /// reduction to reorder. (Splitting a scan into report blocks is the
 /// caller's business and happens above this layer, at fixed boundaries.)
+///
+/// kAuto resolves to the best level the binary and host support, in the
+/// order avx512 > avx2 > scalar on x86-64 and neon > scalar on aarch64.
 enum class SimdLevel {
   kAuto = 0,    ///< resolve to the best supported level at first use
   kScalar = 1,  ///< portable fallback, always available
   kAvx2 = 2,    ///< x86-64 AVX2 (4 x double lanes)
   kNeon = 3,    ///< aarch64 NEON (2 x double lanes)
+  kAvx512 = 4,  ///< x86-64 AVX-512F+DQ (8 x double lanes; OLH entries only,
+                ///< the rest are the AVX2 entries)
 };
 
 std::string SimdLevelName(SimdLevel level);
@@ -42,7 +48,10 @@ Result<SimdLevel> SimdLevelFromString(std::string_view name);
 ///    which cannot change any partial sum's bits (sums never reach -0.0
 ///    starting from +0.0);
 ///  * pointers need no particular alignment and value spans may have any
-///    length — implementations handle remainders with the scalar loop.
+///    length. AVX2 and NEON run the last `num_values % lanes` values with
+///    the scalar loop; AVX-512 runs them as one vector step under a lane
+///    mask, touching no element past the span, or through the AVX2 kernel
+///    when they are too few to fill a step profitably.
 struct FoKernels {
   SimdLevel level = SimdLevel::kScalar;
 
@@ -95,6 +104,13 @@ SimdLevel DetectSimdLevel();
 /// Whether `level` can run on this binary + host. kAuto and kScalar are
 /// always supported.
 bool SimdLevelSupported(SimdLevel level);
+
+/// Every concrete level this binary + host can run (never kAuto), narrowest
+/// first: kScalar, then neon or avx2, then avx512. The last entry is
+/// DetectSimdLevel(). Tests and benches sweep it, so they cover each
+/// compiled-in vector level the host has and degenerate to {kScalar} on
+/// scalar-only builds.
+std::vector<SimdLevel> SupportedSimdLevels();
 
 /// The kernel table for `level` (kAuto resolves to DetectSimdLevel()).
 /// LDP_CHECK-fatal when the level is unsupported on this host — a forced

@@ -5,7 +5,14 @@
 namespace ldp {
 
 std::string Interval::ToString() const {
-  return "[" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+  // Appended piecewise: GCC 12 raises a false -Wrestrict on
+  // `"[" + std::to_string(...)` chains in optimized builds.
+  std::string out = "[";
+  out += std::to_string(lo);
+  out += ", ";
+  out += std::to_string(hi);
+  out += ']';
+  return out;
 }
 
 std::optional<Interval> Intersect(const Interval& a, const Interval& b) {

@@ -211,8 +211,8 @@ MetricsRegistry& GlobalMetrics() {
     registry->histogram("exec.queue_wait");
     registry->histogram("fo_cache.histogram_build_ns");
     // The SIMD level the frequency-oracle kernels dispatched to, as the
-    // numeric SimdLevel value (1 = scalar, 2 = avx2, 3 = neon); 0 until the
-    // first estimate resolves the level.
+    // numeric SimdLevel value (1 = scalar, 2 = avx2, 3 = neon, 4 = avx512);
+    // 0 until the first estimate resolves the level.
     registry->gauge("simd.active_level");
     // Recovery wall time in *milliseconds* (unlike the ns-valued latency
     // histograms): recovery replays whole logs, so ns buckets would waste

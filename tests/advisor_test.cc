@@ -15,7 +15,9 @@ Schema OneDim(uint64_t m) {
 Schema ManyDims(int d, uint64_t m) {
   Schema schema;
   for (int i = 0; i < d; ++i) {
-    EXPECT_TRUE(schema.AddOrdinal("d" + std::to_string(i), m).ok());
+    std::string name = "d";
+    name += std::to_string(i);
+    EXPECT_TRUE(schema.AddOrdinal(name, m).ok());
   }
   EXPECT_TRUE(schema.AddMeasure("w").ok());
   return schema;

@@ -120,14 +120,6 @@ std::vector<double> HandWrittenEstimate(const Group& group,
   return theta;
 }
 
-std::vector<SimdLevel> SupportedLevels() {
-  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  for (const SimdLevel level : {SimdLevel::kAvx2, SimdLevel::kNeon}) {
-    if (SimdLevelSupported(level)) levels.push_back(level);
-  }
-  return levels;
-}
-
 TEST(EstimateBlockTest, BlockOrderIsPinned) {
   const auto group = MakeGroup(kReports);
   ASSERT_EQ(group->acc().EstimateBlocks(), 4u);
@@ -175,7 +167,7 @@ TEST(EstimateBlockTest, BatchedMatchesSerialAcrossThreadsLevelsAndCache) {
     SetSimdLevel(SimdLevel::kScalar);
     std::vector<double> many(values.size());
     group->acc().EstimateManyWeighted(values, w, many);
-    for (const SimdLevel level : SupportedLevels()) {
+    for (const SimdLevel level : SupportedSimdLevels()) {
       SetSimdLevel(level);
       for (const int threads : {1, 4}) {
         const ExecutionContext exec(threads);

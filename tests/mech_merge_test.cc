@@ -33,7 +33,9 @@ void PrintTo(const MergeCase& c, std::ostream* os) { *os << c.name; }
 Schema MakeSchema(const std::vector<uint64_t>& domains) {
   Schema schema;
   for (size_t i = 0; i < domains.size(); ++i) {
-    EXPECT_TRUE(schema.AddOrdinal("d" + std::to_string(i), domains[i]).ok());
+    std::string name = "d";
+    name += std::to_string(i);
+    EXPECT_TRUE(schema.AddOrdinal(name, domains[i]).ok());
   }
   EXPECT_TRUE(schema.AddMeasure("w").ok());
   return schema;

@@ -32,7 +32,9 @@ TEST(MgMechanismTest, CrossProductDomain) {
 TEST(MgMechanismTest, CreateRejectsHugeDomains) {
   Schema schema;
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(schema.AddOrdinal("d" + std::to_string(i), 1 << 12).ok());
+    std::string name = "d";
+    name += std::to_string(i);
+    ASSERT_TRUE(schema.AddOrdinal(name, 1 << 12).ok());
   }
   ASSERT_TRUE(schema.AddMeasure("w").ok());
   EXPECT_FALSE(MgMechanism::Create(schema, Params(1.0)).ok());

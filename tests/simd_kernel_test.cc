@@ -37,31 +37,22 @@ void ExpectBitEqual(double a, double b, const std::string& what) {
   EXPECT_EQ(ba, bb) << what << ": " << a << " vs " << b;
 }
 
-/// Every level this binary + host can run. Always contains kScalar; the
-/// vector entries appear exactly when their kernels were compiled in AND the
-/// host supports them, so the suite degenerates gracefully on scalar-only
-/// builds (check-all-simd-off) without weakening where vectors exist.
-std::vector<SimdLevel> SupportedLevels() {
-  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  for (const SimdLevel level : {SimdLevel::kAvx2, SimdLevel::kNeon}) {
-    if (SimdLevelSupported(level)) levels.push_back(level);
+/// Every concrete level this binary + host cannot run. AVX2/AVX-512 and
+/// NEON are mutually exclusive (x86-64 vs aarch64), so at least one always
+/// exists; on scalar-only builds (check-all-simd-off) all three do.
+std::vector<SimdLevel> UnsupportedLevels() {
+  std::vector<SimdLevel> levels;
+  for (const SimdLevel level :
+       {SimdLevel::kAvx2, SimdLevel::kNeon, SimdLevel::kAvx512}) {
+    if (!SimdLevelSupported(level)) levels.push_back(level);
   }
   return levels;
 }
 
-/// A level that must be rejected on this binary + host. AVX2 and NEON are
-/// mutually exclusive (x86-64 vs aarch64), so at least one always exists.
-SimdLevel UnsupportedLevel() {
-  for (const SimdLevel level : {SimdLevel::kAvx2, SimdLevel::kNeon}) {
-    if (!SimdLevelSupported(level)) return level;
-  }
-  ADD_FAILURE() << "no unsupported level on this host?";
-  return SimdLevel::kScalar;
-}
-
-/// Value counts covering the remainder cases around both lane widths
-/// (NEON: 2, AVX2: 4): 1, lane-1, lane, lane+1, and a longer mixed run.
-const size_t kValueCounts[] = {1, 2, 3, 4, 5, 8, 37};
+/// Value counts covering the remainder cases around every lane width
+/// (NEON: 2, AVX2: 4, AVX-512: 8): 1, lane-1, lane, lane+1, the same
+/// around two AVX-512 chunks (15, 16, 17), and a longer mixed run.
+const size_t kValueCounts[] = {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 37};
 /// Element offsets into over-allocated buffers: offset 0 may be 32-byte
 /// aligned, the others force 8/16/24-byte misalignment of values AND theta.
 const size_t kOffsets[] = {0, 1, 2, 3};
@@ -199,7 +190,7 @@ void FuzzKernelsAgainstScalar(SimdLevel level, uint64_t seed) {
 }
 
 TEST(SimdKernelFuzzTest, AllLevelsMatchScalarBitwise) {
-  for (const SimdLevel level : SupportedLevels()) {
+  for (const SimdLevel level : SupportedSimdLevels()) {
     for (uint64_t seed = 1; seed <= 8; ++seed) {
       FuzzKernelsAgainstScalar(level, seed);
     }
@@ -209,7 +200,7 @@ TEST(SimdKernelFuzzTest, AllLevelsMatchScalarBitwise) {
 TEST(SimdKernelFuzzTest, OlhRawNullWeightsMatchExplicitOnes) {
   // weights == nullptr means "every weight is 1.0" (the all-ones COUNT
   // scan): it must give the bits of an explicit ones array at every level.
-  for (const SimdLevel level : SupportedLevels()) {
+  for (const SimdLevel level : SupportedSimdLevels()) {
     const FoKernels& kernels = KernelsForLevel(level);
     for (uint64_t seed = 1; seed <= 8; ++seed) {
       Rng rng(seed);
@@ -268,16 +259,17 @@ void CheckAccumulatorBitIdenticalAcrossLevels(const Protocol& proto,
     }
     acc.EstimateManyWeighted(values, w, reference);
   }
-  for (const SimdLevel level : SupportedLevels()) {
+  for (const SimdLevel level : SupportedSimdLevels()) {
     SetSimdLevel(level);
     Accumulator acc(proto);
     Rng rng(17);
     for (uint64_t u = 0; u < n; ++u) {
       acc.Add(proto.Encode((u * 13) % domain, rng), u);
     }
-    // Tilings around both lane widths, with off-by-`tile` span starts (the
+    // Tilings around every lane width, with off-by-`tile` span starts (the
     // second tile of an odd tiling starts misaligned).
-    for (const size_t tile : {size_t{1}, size_t{3}, size_t{4}, size_t{5}}) {
+    for (const size_t tile : {size_t{1}, size_t{3}, size_t{4}, size_t{5},
+                              size_t{7}, size_t{8}, size_t{9}}) {
       std::vector<double> out(values.size(), -1.0);
       for (size_t v0 = 0; v0 < values.size(); v0 += tile) {
         const size_t len = std::min(tile, values.size() - v0);
@@ -366,7 +358,7 @@ TEST(SimdEngineTest, BitIdenticalAcrossLevelsThreadsAndCache) {
       reference.push_back(engine->ExecuteSql(sql).ValueOrDie());
     }
   }
-  for (const SimdLevel level : SupportedLevels()) {
+  for (const SimdLevel level : SupportedSimdLevels()) {
     for (const int threads : {1, 2, 8}) {
       for (const bool cache : {false, true}) {
         auto engine = make_engine(level, threads, cache);
@@ -390,12 +382,13 @@ TEST(SimdEngineTest, BitIdenticalAcrossLevelsThreadsAndCache) {
 TEST(SimdLevelTest, NamesRoundTrip) {
   for (const SimdLevel level :
        {SimdLevel::kAuto, SimdLevel::kScalar, SimdLevel::kAvx2,
-        SimdLevel::kNeon}) {
+        SimdLevel::kNeon, SimdLevel::kAvx512}) {
     const auto parsed = SimdLevelFromString(SimdLevelName(level));
     ASSERT_TRUE(parsed.ok()) << SimdLevelName(level);
     EXPECT_EQ(parsed.value(), level);
   }
   EXPECT_EQ(SimdLevelFromString("AVX2").ValueOrDie(), SimdLevel::kAvx2);
+  EXPECT_EQ(SimdLevelFromString("AVX512").ValueOrDie(), SimdLevel::kAvx512);
   EXPECT_FALSE(SimdLevelFromString("sse9").ok());
   EXPECT_FALSE(SimdLevelFromString("").ok());
 }
@@ -406,6 +399,13 @@ TEST(SimdLevelTest, DetectAndAutoAgree) {
   EXPECT_TRUE(SimdLevelSupported(SimdLevel::kAuto));
   EXPECT_TRUE(SimdLevelSupported(SimdLevel::kScalar));
   EXPECT_EQ(KernelsForLevel(SimdLevel::kAuto).level, best);
+  // Auto picks the widest supported level (avx512 over avx2 over scalar).
+  EXPECT_EQ(SupportedSimdLevels().front(), SimdLevel::kScalar);
+  if (SimdLevelSupported(SimdLevel::kAvx512)) {
+    EXPECT_EQ(best, SimdLevel::kAvx512);
+  } else if (SimdLevelSupported(SimdLevel::kAvx2)) {
+    EXPECT_EQ(best, SimdLevel::kAvx2);
+  }
   SetSimdLevel(SimdLevel::kAuto);
   EXPECT_EQ(ActiveSimdLevel(), best);
   EXPECT_EQ(ActiveKernels().level, best);
@@ -417,12 +417,16 @@ TEST(SimdLevelTest, DetectAndAutoAgree) {
 TEST(SimdLevelDeathTest, ForcingUnsupportedLevelIsFatal) {
   // A forced level the host cannot run must die loudly (LDP_CHECK), never
   // silently fall back — a benchmark recorded under the wrong kernels would
-  // be worse than no benchmark.
-  const SimdLevel unsupported = UnsupportedLevel();
-  EXPECT_DEATH({ SetSimdLevel(unsupported); },
-               "simd_level_supported_on_host");
-  EXPECT_DEATH({ (void)KernelsForLevel(unsupported); },
-               "simd_level_supported_on_host");
+  // be worse than no benchmark. On a scalar-only build this covers avx2,
+  // avx512 and neon.
+  const std::vector<SimdLevel> unsupported = UnsupportedLevels();
+  ASSERT_FALSE(unsupported.empty()) << "no unsupported level on this host?";
+  for (const SimdLevel level : unsupported) {
+    SCOPED_TRACE(SimdLevelName(level));
+    EXPECT_DEATH({ SetSimdLevel(level); }, "simd_level_supported_on_host");
+    EXPECT_DEATH({ (void)KernelsForLevel(level); },
+                 "simd_level_supported_on_host");
+  }
 }
 
 }  // namespace
